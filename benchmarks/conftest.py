@@ -3,7 +3,8 @@
 Each benchmark regenerates one paper table/figure, prints it (run with
 ``-s`` to see the ASCII artifact), and asserts the paper's qualitative
 *shapes* — who wins, trend directions, crossovers — not absolute
-numbers (DESIGN.md explains the substitutions).
+numbers (the calibrated stand-in graphs of :mod:`repro.datasets`
+replace the paper's real datasets).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Ablation — closed-form bound vs empirical Theorem 6.1 accounting.
 
-DESIGN.md calls out the gap between the two privacy-accounting routes:
+The two privacy-accounting routes leave a gap between them:
 
 * **closed form** (Theorem 5.3): Lemma 5.1 concentration on ``||L||_2``
   plus the Equation 7 spectral bound on ``sum P^2``;

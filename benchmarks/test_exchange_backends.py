@@ -1,12 +1,12 @@
-"""Exchange-backend shootout: faithful vs vectorized vs compiled.
+"""Exchange shootout: reference vs engine, fused vs per-round, JIT vs NumPy.
 
-The acceptance target for the vectorized engine is a >=10x speedup over
-the faithful backend on a 10,000-node, 16-round exchange, while
-producing the *identical* seeded held-count vector (the shared RNG
-contract makes the comparison exact, not statistical).  The compiled
-backend must reproduce the same vector too; with numba installed it
-must beat the vectorized engine by >=3x on the fused multi-round path,
-and the pure-NumPy fallback must not be slower.
+The exchange engine must beat the per-message reference simulator by
+>=10x on a 10,000-node, 16-round exchange while producing the
+*identical* seeded held-count vector (the shared RNG contract makes the
+comparison exact, not statistical).  Within the engine, the fused
+``run(rounds)`` must not be slower than the same engine's per-round
+loop, and with numba installed the JIT bodies must beat the same
+engine's NumPy bodies by >=3x on the fused path.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import random_regular_graph
+from repro.netsim import kernels
 from repro.netsim.kernels import NUMBA_AVAILABLE, resolve_implementation
 from repro.netsim.network import RoundBasedNetwork
+from repro.testing.reference import ReferenceNetwork
 
 _NUM_NODES = 10_000
 _DEGREE = 8
@@ -30,74 +32,98 @@ def shootout_graph():
     return random_regular_graph(_DEGREE, _NUM_NODES, rng=0)
 
 
-def _timed_exchange(graph, backend: str):
-    network = RoundBasedNetwork(graph, rng=0, backend=backend)
-    network.seed_items({i: [i] for i in range(graph.num_nodes)})
+def _timed_exchange(network, *, stepped: bool = False, numpy: bool = False):
+    """Seed one report per node, time ``_ROUNDS`` rounds, return
+    ``(seconds, held counts)``.  ``stepped`` drives the per-round kernel
+    round by round; ``numpy`` pins the engine to its NumPy bodies."""
+    if numpy:
+        network.engine._round_kernel = kernels._round_numpy
+        network.engine._rounds_kernel = kernels._rounds_numpy
+    network.seed_items({i: [i] for i in range(network.num_users)})
     start = time.perf_counter()
-    network.run_exchange(_ROUNDS)
+    if stepped:
+        for _ in range(_ROUNDS):
+            network.run_exchange_round()
+    else:
+        network.run_exchange(_ROUNDS)
     elapsed = time.perf_counter() - start
     return elapsed, network.held_counts()
 
-def test_vectorized_speedup_over_faithful(shootout_graph):
-    faithful_time, faithful_counts = _timed_exchange(shootout_graph, "faithful")
-    vectorized_time, vectorized_counts = _timed_exchange(
-        shootout_graph, "vectorized"
+
+def test_engine_speedup_over_reference(shootout_graph):
+    reference_time, reference_counts = _timed_exchange(
+        ReferenceNetwork(shootout_graph, rng=0)
     )
-    speedup = faithful_time / vectorized_time
+    engine_time, engine_counts = _timed_exchange(
+        RoundBasedNetwork(shootout_graph, rng=0)
+    )
+    speedup = reference_time / engine_time
     print(
-        f"\nfaithful: {faithful_time:.3f}s  vectorized: {vectorized_time:.3f}s"
+        f"\nreference: {reference_time:.3f}s  engine: {engine_time:.3f}s"
         f"  speedup: {speedup:.1f}x ({_NUM_NODES} nodes, {_ROUNDS} rounds)"
     )
-    # Same seed => bit-identical allocation on both backends.
-    np.testing.assert_array_equal(faithful_counts, vectorized_counts)
+    # Same seed => bit-identical allocation.
+    np.testing.assert_array_equal(reference_counts, engine_counts)
     assert speedup >= 10.0, (
-        f"vectorized backend only {speedup:.1f}x faster than faithful"
+        f"exchange engine only {speedup:.1f}x faster than the reference"
     )
 
 
-def test_compiled_matches_vectorized_and_is_not_slower(shootout_graph):
-    vectorized_time, vectorized_counts = _timed_exchange(
-        shootout_graph, "vectorized"
+def test_fused_run_not_slower_than_per_round_loop(shootout_graph):
+    stepped_time, stepped_counts = _timed_exchange(
+        RoundBasedNetwork(shootout_graph, rng=0), stepped=True
     )
-    compiled_time, compiled_counts = _timed_exchange(
-        shootout_graph, "compiled"
+    fused_time, fused_counts = _timed_exchange(
+        RoundBasedNetwork(shootout_graph, rng=0)
     )
-    speedup = vectorized_time / compiled_time
-    implementation = resolve_implementation()
     print(
-        f"\nvectorized: {vectorized_time:.3f}s  "
-        f"compiled[{implementation}]: {compiled_time:.3f}s  "
-        f"speedup: {speedup:.1f}x ({_NUM_NODES} nodes, {_ROUNDS} rounds)"
+        f"\nper-round: {stepped_time:.3f}s  fused: {fused_time:.3f}s "
+        f"[{resolve_implementation()}] ({_NUM_NODES} nodes, {_ROUNDS} rounds)"
     )
-    # Same seed => bit-identical allocation on every backend.
-    np.testing.assert_array_equal(vectorized_counts, compiled_counts)
-    if NUMBA_AVAILABLE:
-        assert speedup >= 3.0, (
-            f"JIT-compiled backend only {speedup:.1f}x faster than vectorized"
-        )
-    else:
-        # The NumPy fallback must not regress (x1.5 timing-noise slack).
-        assert compiled_time <= vectorized_time * 1.5, (
-            f"compiled fallback {1 / speedup:.2f}x slower than vectorized"
-        )
+    np.testing.assert_array_equal(stepped_counts, fused_counts)
+    # x1.5 timing-noise slack.
+    assert fused_time <= stepped_time * 1.5, (
+        f"fused run {fused_time / stepped_time:.2f}x slower than the "
+        "per-round loop"
+    )
 
 
-def _bench_backend(benchmark, graph, backend):
+def test_jit_speedup_over_numpy(shootout_graph):
+    numpy_time, numpy_counts = _timed_exchange(
+        RoundBasedNetwork(shootout_graph, rng=0), numpy=True
+    )
+    jit_time, jit_counts = _timed_exchange(
+        RoundBasedNetwork(shootout_graph, rng=0)
+    )
+    speedup = numpy_time / jit_time
+    print(
+        f"\nnumpy: {numpy_time:.3f}s  {resolve_implementation()}: "
+        f"{jit_time:.3f}s  speedup: {speedup:.1f}x "
+        f"({_NUM_NODES} nodes, {_ROUNDS} rounds)"
+    )
+    np.testing.assert_array_equal(numpy_counts, jit_counts)
+    if not NUMBA_AVAILABLE:
+        pytest.skip("numba not installed: both runs used the NumPy bodies")
+    assert speedup >= 3.0, (
+        f"JIT bodies only {speedup:.1f}x faster than the NumPy bodies"
+    )
+
+
+def _bench_exchange(benchmark, graph, *, stepped):
     def exchange():
-        network = RoundBasedNetwork(graph, rng=0, backend=backend)
-        network.seed_items({i: [i] for i in range(graph.num_nodes)})
-        network.run_exchange(_ROUNDS)
-        return network.held_counts()
+        return _timed_exchange(
+            RoundBasedNetwork(graph, rng=0), stepped=stepped
+        )[1]
 
     counts = benchmark(exchange)
     assert counts.sum() == _NUM_NODES
 
 
-def test_bench_vectorized_exchange(benchmark, shootout_graph):
-    """pytest-benchmark timing of the vectorized exchange (JSON artifact)."""
-    _bench_backend(benchmark, shootout_graph, "vectorized")
+def test_bench_exchange_per_round(benchmark, shootout_graph):
+    """pytest-benchmark timing of the per-round loop (JSON artifact)."""
+    _bench_exchange(benchmark, shootout_graph, stepped=True)
 
 
-def test_bench_compiled_exchange(benchmark, shootout_graph):
-    """pytest-benchmark timing of the compiled exchange (JSON artifact)."""
-    _bench_backend(benchmark, shootout_graph, "compiled")
+def test_bench_exchange_fused(benchmark, shootout_graph):
+    """pytest-benchmark timing of the fused ``run(rounds)`` (JSON artifact)."""
+    _bench_exchange(benchmark, shootout_graph, stepped=False)

@@ -29,7 +29,7 @@ or imperatively, via the :class:`NetworkShuffler` facade::
     print(shuffler.central_guarantee())     # amplified central epsilon
     result = shuffler.run([0, 1] * 500, BinaryRandomizedResponse(1.0), rng=1)
 
-Package map (see DESIGN.md for the full inventory):
+Package map:
 
 ========================  ==============================================
 ``repro.core``            NetworkShuffler facade, privacy accountant

@@ -17,14 +17,13 @@ Commands
 ``plan <n> <target_eps>``
     Deployment planning: local budgets achieving a central target on a
     regular graph of ``n`` users (both protocols).
-``run <scenario.json> [--json] [--engine NAME] [--profile-budget BYTES]``
+``run <scenario.json> [--json] [--require-jit] [--profile-budget BYTES]``
     Execute one declarative scenario (simulate + account) and print the
     result digest (``--json`` emits machine-readable JSON).  ``-`` reads
-    the scenario from stdin.  ``--engine
-    fast|vectorized|faithful|compiled`` overrides the scenario's
-    simulation engine (``compiled`` = fused kernels, numba-JIT when the
-    ``repro[compiled]`` extra is installed; ``--require-jit`` makes a
-    missing JIT a hard error instead of a NumPy fallback).  Time-varying topologies ride the same
+    the scenario from stdin.  The exchange engine runs its numba kernels
+    when the ``repro[compiled]`` extra is installed and its NumPy
+    kernels otherwise; ``--require-jit`` makes a missing JIT a hard
+    error instead.  Time-varying topologies ride the same
     commands via the ``schedule`` graph spec (sub-specs plus a
     round-robin/epoch selector, or ``base`` + ``phases`` churn); such
     scenarios must set ``rounds`` explicitly and are accounted via the
@@ -51,9 +50,8 @@ Commands
     reported failures instead of aborting the grid, ``--retries N``
     retries points whose worker crashed (rebuilding the pool), and
     ``--point-timeout S`` kills and retries hung points; a sweep with
-    failed points exits nonzero after printing them.  ``--engine`` /
-    ``--require-jit`` work as on ``run`` (the ``engine`` field is also
-    a sweepable axis: ``--axis engine=vectorized,compiled``).
+    failed points exits nonzero after printing them.  ``--require-jit``
+    works as on ``run``.
 ``results <query|diff|gc|campaigns> --store DB ...``
     Query the campaign store: ``query`` aggregates a metric over any
     recorded axis straight from SQL (``--x``/``--y``/``--group-by``/
@@ -71,8 +69,8 @@ Commands
     persists job outcomes across restarts and serves ``GET /results``;
     ``--max-queue`` turns on 429 back-pressure; ``--job-timeout``
     fails jobs that outlive their wall-clock budget with a 504;
-    ``--engine`` pins the exchange backend every submitted job runs on
-    (``GET /stats`` reports the resolved compiled kernels).
+    ``--require-jit`` works as on ``run`` (``GET /stats`` reports the
+    resolved kernels).
 
 All surfaces share one error taxonomy (:mod:`repro.exceptions`): the
 message a failed command prints here is byte-identical to the
@@ -219,53 +217,33 @@ def _take_profile_budget(arguments: list[str], usage: str) -> list[str]:
     return arguments[:index] + arguments[index + 2:]
 
 
-def _take_engine(arguments: list[str], usage: str) -> tuple[list[str], str | None]:
-    """Extract ``--engine NAME`` (and ``--require-jit``).
-
-    ``--engine`` overrides the scenario's simulation engine from the
-    command line — the knob that selects the ``compiled`` backend on an
-    archived scenario without editing it.  ``--require-jit`` makes a
-    ``compiled`` request loud when numba cannot JIT (process policy,
-    like ``--profile-budget``): without it the backend silently uses
-    its pure-NumPy fallback kernels.
-    """
+def _take_require_jit(arguments: list[str]) -> list[str]:
+    """Extract ``--require-jit``: a missing numba JIT becomes a hard
+    error (process policy, like ``--profile-budget``) instead of the
+    exchange engine silently running its NumPy kernels."""
     if "--require-jit" in arguments:
         from repro.netsim.kernels import set_require_jit
 
         set_require_jit(True)
         arguments = [token for token in arguments if token != "--require-jit"]
-    if "--engine" not in arguments:
-        return arguments, None
-    index = arguments.index("--engine")
-    if index + 1 >= len(arguments):
-        raise SystemExit(usage)
-    from repro.protocols.all_protocol import ENGINES
-
-    engine = arguments[index + 1]
-    if engine not in ENGINES:
-        raise SystemExit(
-            f"--engine: unknown engine {engine!r}; use one of {ENGINES}"
-        )
-    return arguments[:index] + arguments[index + 2:], engine
+    return arguments
 
 
 def _run(arguments: list[str]) -> None:
     usage = (
         "usage: python -m repro run <scenario.json|-> [--json] "
-        "[--engine fast|vectorized|faithful|compiled] [--require-jit] "
+        "[--require-jit] "
         "[--profile-budget BYTES|512M|2G]"
     )
     as_json = "--json" in arguments
     arguments = [token for token in arguments if token != "--json"]
     arguments = _take_profile_budget(arguments, usage)
-    arguments, engine = _take_engine(arguments, usage)
+    arguments = _take_require_jit(arguments)
     if len(arguments) != 1:
         raise SystemExit(usage)
     from repro.scenario import run
 
     scenario = _load_scenario(arguments[0])
-    if engine is not None:
-        scenario = scenario.updated(engine=engine)
     try:
         result = run(scenario)
     except ReproError as error:
@@ -360,11 +338,11 @@ def _sweep(arguments: list[str]) -> None:
         "[--mode run|bound|stationary_bound|audit] [--workers N] "
         "[--store DB] [--campaign NAME] "
         "[--on-error raise|collect] [--retries N] [--point-timeout S] "
-        "[--engine fast|vectorized|faithful|compiled] [--require-jit] "
+        "[--require-jit] "
         "[--profile-budget BYTES|512M|2G]"
     )
     arguments = _take_profile_budget(arguments, usage)
-    arguments, engine = _take_engine(arguments, usage)
+    arguments = _take_require_jit(arguments)
     source: str | None = None
     axis: dict[str, list] = {}
     mode = "run"
@@ -438,8 +416,6 @@ def _sweep(arguments: list[str]) -> None:
         raise SystemExit(usage)
 
     base = _load_scenario(source)
-    if engine is not None:
-        base = base.updated(engine=engine)
     try:
         result = sweep(
             base,

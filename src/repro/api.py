@@ -26,12 +26,12 @@ Cache telemetry
     graph cache and kernel-sampler memo counters the serving tier's
     ``/stats`` reports; :func:`clear_graph_cache` to reset between
     tests.
-Exchange backends
-    :func:`backend_info` — which kernels the ``compiled`` engine
-    resolves to in this process (numba JIT vs NumPy fallback);
+Exchange kernels
+    :func:`backend_info` — which kernel bodies the exchange engine
+    resolves to in this process (numba JIT or NumPy);
     :func:`set_require_jit` to make a missing JIT raise
     :class:`BackendUnavailableError` (HTTP 501) instead of silently
-    falling back.
+    running the NumPy bodies.
 Schedule accounting
     :class:`ProfilePolicy` plus :func:`get_profile_policy` /
     :func:`set_profile_policy` / :func:`profile_policy` — the

@@ -173,7 +173,6 @@ class NetworkShuffler:
         values: Sequence[Any],
         randomizer: Optional[LocalRandomizer] = None,
         *,
-        engine: str = "fast",
         rng: RngLike = None,
     ) -> ProtocolResult:
         """Simulate the configured protocol on this graph.
@@ -192,7 +191,6 @@ class NetworkShuffler:
                 self.rounds,
                 values=values,
                 randomizer=randomizer,
-                engine=engine,
                 rng=rng,
             )
         return run_single_protocol(
@@ -200,6 +198,5 @@ class NetworkShuffler:
             self.rounds,
             values=values,
             randomizer=randomizer,
-            engine=engine,
             rng=rng,
         )

@@ -11,7 +11,6 @@ Every privacy theorem in the paper consumes the graph only through
 ``n``, ``sum_i P_i(t)^2`` (asymptotically ``Gamma_G / n``), and the
 spectral gap ``alpha`` — so matching ``(n, Gamma_G)`` and reporting the
 achieved ``alpha`` preserves the quantities that drive every figure.
-See DESIGN.md, "Substitutions".
 """
 
 from repro.datasets.registry import (

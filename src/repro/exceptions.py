@@ -153,13 +153,13 @@ class SimulationError(ReproError):
 
 
 class BackendUnavailableError(SimulationError):
-    """A requested exchange backend cannot run in this environment.
+    """The exchange kernels cannot run as required in this environment.
 
-    Raised when the ``compiled`` backend is asked to JIT but numba
+    Raised when the exchange engine is required to JIT but numba
     cannot (the ``repro[compiled]`` extra is missing while a caller
     required JIT, or numba is installed but fails to compile the
-    kernels).  Without a JIT requirement the compiled backend falls
-    back to its pure-NumPy kernels silently — this error is the *loud*
+    kernels).  Without a JIT requirement the engine runs its NumPy
+    kernels silently — this error is the *loud*
     path for deployments that asked for compiled speed and would
     otherwise get a silent 10x regression.  Mapped to HTTP 501: the
     request is well-formed, this deployment just cannot serve it.

@@ -76,15 +76,12 @@ def measure_complexity(
     The network-shuffling column is one declarative ``graph.num_nodes``
     sweep in ``run`` mode; ``results="full"`` keeps the per-user meter
     boards the complexity fits read (a digest only carries aggregates).
-    The vectorized backend meters identically to the per-message path
-    (shared RNG contract) at a fraction of the cost.
     """
     base = Scenario(
         graph=GraphSpec.of(
             "k_regular", degree=_DEGREE, num_nodes=int(n_values[0])
         ),
         rounds=_FIXED_ROUNDS,
-        engine="vectorized",
         seed=config.seed,
     )
     shuffles = sweep(

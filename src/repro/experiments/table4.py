@@ -5,7 +5,7 @@ values achieved by the calibrated synthetic stand-in's largest connected
 component, plus the stand-in's spectral gap and mixing time (which the
 paper reports in prose: ``alpha ~= 1e-2`` and mixing ``~1e3`` for the
 real social graphs; configuration-model stand-ins are better expanders,
-see DESIGN.md "Substitutions").
+see :mod:`repro.datasets`).
 
 Each stand-in is one declarative ``dataset``-graph scenario (the wiring
 seed pinned as spec data, so the graphs match the historical builds);

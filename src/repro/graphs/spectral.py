@@ -95,8 +95,17 @@ def normalized_adjacency_eigenvalues(
         eigenvalues = np.linalg.eigvalsh(matrix.toarray())
         return eigenvalues[::-1]
     k = min(max(num_extreme, 2), n - 2)
-    largest = spla.eigsh(matrix, k=k, which="LA", return_eigenvectors=False)
-    smallest = spla.eigsh(matrix, k=k, which="SA", return_eigenvectors=False)
+    # ARPACK otherwise draws its start vector from a seed it carries
+    # across calls, so two computations of one graph's spectrum in one
+    # process would differ in the last digits.  A start vector seeded by
+    # the graph size makes every call bit-reproducible.
+    v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    largest = spla.eigsh(
+        matrix, k=k, which="LA", v0=v0, return_eigenvectors=False
+    )
+    smallest = spla.eigsh(
+        matrix, k=k, which="SA", v0=v0, return_eigenvectors=False
+    )
     combined = np.unique(np.concatenate([largest, smallest]))
     return combined[::-1]
 

@@ -6,17 +6,15 @@ final reports, and every entity is metered (messages sent/received,
 peak queue memory) so the Table 3 complexity comparison can be
 *measured* rather than asserted.
 
-Two interchangeable backends realize the exchange under an exact shared
-RNG contract (seeded runs agree bit for bit):
-
-* ``backend="vectorized"`` — :class:`~repro.netsim.engine.VectorizedExchange`
-  keeps every in-flight report in flat NumPy arrays and advances a round
-  with a few gathers plus ``np.bincount`` metering; this is what the
-  protocol simulators pick by default and it scales to millions of
-  tokens.
-* ``backend="faithful"`` — per-message over
-  :class:`~repro.netsim.node.Node` objects; keeps message identity for
-  adversary/audit scenarios and cross-validates the fast path.
+One array engine realizes the exchange:
+:class:`~repro.netsim.engine.ExchangeEngine` keeps every in-flight
+report in flat NumPy arrays and advances it through the kernels of
+:mod:`repro.netsim.kernels`, whose numba or NumPy bodies are picked
+once per process (``backend_info()`` says which).
+:class:`~repro.netsim.network.RoundBasedNetwork` pairs it with payloads
+and the server.  Seeded runs reproduce the per-message reference
+simulator of :mod:`repro.testing.reference` bit for bit; that simulator
+is the tests' oracle, not a production path.
 
 An :class:`~repro.netsim.adversary.AdversaryView` records exactly what
 the paper's threat model grants the central adversary: the linkage of
@@ -24,11 +22,10 @@ each final-round report to the user who sent it (but not to the report's
 originator).
 """
 
-from repro.netsim.engine import VectorizedExchange
+from repro.netsim.engine import ExchangeEngine
 from repro.netsim.message import Message
 from repro.netsim.metrics import EntityMeter, MeterBoard, VectorMeterBoard
-from repro.netsim.network import BACKENDS, RoundBasedNetwork
-from repro.netsim.node import Node
+from repro.netsim.network import RoundBasedNetwork
 from repro.netsim.server import Server
 from repro.netsim.adversary import AdversaryView
 from repro.netsim.faults import AdversarialDropout, DropoutModel, NoFaults, IndependentDropout
@@ -43,10 +40,8 @@ __all__ = [
     "EntityMeter",
     "MeterBoard",
     "VectorMeterBoard",
-    "VectorizedExchange",
-    "BACKENDS",
+    "ExchangeEngine",
     "RoundBasedNetwork",
-    "Node",
     "Server",
     "AdversaryView",
     "DropoutModel",

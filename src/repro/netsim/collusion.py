@@ -32,7 +32,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import stationary_distribution, transition_matrix
-from repro.netsim.engine import VectorizedExchange
+from repro.netsim.engine import ExchangeEngine
 from repro.netsim.faults import DropoutModel
 from repro.utils.rng import RngLike
 
@@ -47,13 +47,13 @@ def simulate_walk_trajectories(
     """Token trajectories: shape ``(n_tokens, steps + 1)``.
 
     Token ``i`` starts at node ``i``; column ``t`` is its holder after
-    ``t`` rounds.  Runs on the shared vectorized exchange engine with
+    ``t`` rounds.  Runs on the shared exchange engine with
     trajectory recording, so the adversary sees exactly the process the
     protocol simulators execute (same RNG contract, optional faults).
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
-    engine = VectorizedExchange(
+    engine = ExchangeEngine(
         graph, faults=faults, rng=rng, record_trajectories=True
     )
     engine.seed_tokens(np.arange(graph.num_nodes, dtype=np.int64))

@@ -90,7 +90,7 @@ class MeterBoard:
 
 
 class VectorMeterBoard:
-    """Array-backed meter board maintained by the vectorized engine.
+    """Array-backed meter board maintained by the exchange engine.
 
     Per-user counters live in flat NumPy arrays that the engine updates
     with one ``np.bincount`` per round, so metering a million tokens

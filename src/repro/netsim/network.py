@@ -2,24 +2,14 @@
 
 One round = every online node forwards each held item to a uniformly
 random neighbor; deliveries land in inboxes and become visible at the
-start of the next round.  Two interchangeable backends realize this:
+start of the next round.  :class:`RoundBasedNetwork` pairs the
+:class:`~repro.netsim.engine.ExchangeEngine`, which moves token ids, with
+the payloads those ids stand for and the server that receives them.
 
-* ``backend="faithful"`` — per-message over Python ``Node`` objects with
-  full per-entity metering.  Keeps message *identity* through the
-  simulation, which adversary/audit scenarios need, but costs
-  O(n · items) interpreter work per round.
-* ``backend="vectorized"`` — the flat-array engine of
-  :mod:`repro.netsim.engine`: all tokens hop in a few NumPy kernels per
-  round, meters aggregated with ``np.bincount``.
-* ``backend="compiled"`` — the fused-kernel engine of
-  :mod:`repro.netsim.kernels`: one single-pass kernel per round (numba
-  JIT when installed, pre-allocated pure-NumPy kernels otherwise) and a
-  multi-round driver that stays out of the interpreter between rounds.
-
-All backends share an exact RNG contract — a seeded run produces
-identical per-round held counts, meters, and server deliveries on
-either — so the faithful path doubles as a cross-validation oracle for
-the fast one (see ``tests/netsim/test_engine.py``).
+A seeded run reproduces the per-message reference simulator of
+:mod:`repro.testing.reference` bit for bit — held counts, meters and
+server deliveries — which is how the tests check the engine (see
+``tests/netsim/test_engine.py``).
 """
 
 from __future__ import annotations
@@ -28,20 +18,12 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import SimulationError, ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
-from repro.netsim.engine import VectorizedExchange
-from repro.netsim.faults import DropoutModel, NoFaults
-from repro.netsim.kernels import CompiledExchange
-from repro.netsim.message import SERVER_ID
-from repro.netsim.metrics import MeterBoard, VectorMeterBoard
-from repro.netsim.node import Node
+from repro.netsim.engine import ExchangeEngine
+from repro.netsim.faults import DropoutModel
 from repro.netsim.server import Server
 from repro.utils.rng import RngLike, ensure_rng
-
-#: Valid values for ``RoundBasedNetwork(backend=...)``.
-BACKENDS = ("faithful", "vectorized", "compiled")
 
 
 class RoundBasedNetwork:
@@ -52,20 +34,12 @@ class RoundBasedNetwork:
     graph:
         The communication graph, or a
         :class:`~repro.graphs.dynamic.DynamicGraphSchedule` for a
-        time-varying topology.  On a schedule, both backends bind the
-        scheduled graph for each round before any randomness is drawn —
-        the vectorized engine swaps its CSR caches, the faithful path
-        rebinds every ``Node``'s neighbor list — so the exact RNG
-        contract (and the equivalence oracle) extends to schedules.
+        time-varying topology; the engine binds the scheduled graph for
+        each round before any randomness is drawn.
     faults:
         Dropout model; offline holders keep their items for the round.
     rng:
         Seed or generator.
-    backend:
-        ``"faithful"`` (per-message ``Node`` objects, default for direct
-        construction), ``"vectorized"`` (flat-array engine — what the
-        protocol simulators pick by default), or ``"compiled"``
-        (fused kernels, numba-JIT when available).
     """
 
     def __init__(
@@ -74,68 +48,27 @@ class RoundBasedNetwork:
         *,
         faults: Optional[DropoutModel] = None,
         rng: RngLike = None,
-        backend: str = "faithful",
     ):
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"unknown backend {backend!r}; use one of {BACKENDS}"
-            )
-        if isinstance(graph, DynamicGraphSchedule):
-            self.schedule: Optional[DynamicGraphSchedule] = graph
-            self._graph = graph.graph_at(0)
-        else:
-            self.schedule = None
-            self._graph = graph
-        self.backend = backend
-        self.faults = faults if faults is not None else NoFaults()
         self.rng = ensure_rng(rng)
-        self.nodes: Dict[int, Node] = {}
-        self._engine: Optional[VectorizedExchange] = None
+        self.engine = ExchangeEngine(graph, faults=faults, rng=self.rng)
+        self.meters = self.engine.meters
+        self.server = Server(self.meters.server_meter)
         self._payloads: List[Any] = []
-        self._round_index = 0
-        self._campaign_start_round = 0
-        if backend == "faithful":
-            self.meters: MeterBoard | VectorMeterBoard = MeterBoard()
-            self.nodes = {
-                node_id: Node(
-                    node_id,
-                    self._graph.neighbors(node_id),
-                    self.meters.meter(node_id),
-                )
-                for node_id in range(self._graph.num_nodes)
-            }
-            self.server = Server(self.meters.meter(SERVER_ID))
-        else:
-            engine_cls = (
-                CompiledExchange if backend == "compiled"
-                else VectorizedExchange
-            )
-            self._engine = engine_cls(
-                graph if self.schedule is None else self.schedule,
-                faults=self.faults,
-                rng=self.rng,
-            )
-            self.meters = self._engine.meters
-            self.server = Server(self.meters.server_meter)
 
     @property
     def graph(self) -> Graph:
         """The topology currently in force (tracks the schedule)."""
-        if self._engine is not None:
-            return self._engine.graph
-        return self._graph
+        return self.engine.graph
 
     @property
     def num_users(self) -> int:
         """Number of user nodes."""
-        return self.graph.num_nodes
+        return self.engine.num_users
 
     @property
     def round_index(self) -> int:
         """Number of exchange rounds executed so far."""
-        if self._engine is not None:
-            return self._engine.round_index
-        return self._round_index
+        return self.engine.round_index
 
     # ------------------------------------------------------------------
     # Seeding
@@ -146,38 +79,24 @@ class RoundBasedNetwork:
         Seeding is only allowed before the campaign's first exchange
         round (repeated calls are fine) or after the final delivery —
         interleaving seeds with rounds would scramble the inbox-arrival
-        order the backends' exact RNG contract depends on.  Both
-        backends enforce this identically.
+        order the exact RNG contract depends on.
         """
-        if self._engine is not None:
-            drained = self._engine.drained
-            origins: List[int] = []
-            payloads: List[Any] = []
-            for node_id, items in items_per_node.items():
-                origins.extend([node_id] * len(items))
-                payloads.extend(items)
-            # Let the engine validate (and raise) before touching
-            # _payloads, or a rejected seed would shift the token-id ->
-            # payload mapping for every later campaign.
-            self._engine.seed_tokens(np.asarray(origins, dtype=np.int64))
-            if drained:
-                # The engine restarts token ids from 0 after a final
-                # delivery; drop the delivered campaign's payloads so
-                # the mapping stays aligned.
-                self._payloads = []
-            self._payloads.extend(payloads)
-            return
-        if any(node.held or node.inbox for node in self.nodes.values()):
-            if self._round_index != self._campaign_start_round:
-                raise SimulationError(
-                    "cannot seed items mid-exchange; deliver to the server first"
-                )
-        else:
-            self._campaign_start_round = self._round_index
+        drained = self.engine.drained
+        origins: List[int] = []
+        payloads: List[Any] = []
         for node_id, items in items_per_node.items():
-            node = self.nodes[node_id]
-            node.held.extend(items)
-            node.meter.record_store(len(items))
+            origins.extend([node_id] * len(items))
+            payloads.extend(items)
+        # Let the engine validate (and raise) before touching _payloads,
+        # or a rejected seed would shift the token-id -> payload mapping
+        # for every later campaign.
+        self.engine.seed_tokens(np.asarray(origins, dtype=np.int64))
+        if drained:
+            # The engine restarts token ids from 0 after a final
+            # delivery; drop the delivered campaign's payloads so the
+            # mapping stays aligned.
+            self._payloads = []
+        self._payloads.extend(payloads)
 
     # ------------------------------------------------------------------
     # Exchange rounds
@@ -185,28 +104,14 @@ class RoundBasedNetwork:
     def set_graph(self, graph: Graph) -> None:
         """Swap the communication graph in place (same node count).
 
-        On the vectorized backend this delegates to the engine's CSR
-        swap; on the faithful backend every ``Node``'s neighbor list is
-        rebound.  Neither path consumes randomness, so seeded runs stay
-        bit-identical across backends through a swap.
-
-        On a schedule-constructed network the schedule owns the
-        topology — it rebinds ``graph_at(round_index)`` through this
-        very method before each round, so a manual swap lasts only
-        until the next round's sync.  Encode persistent interventions
-        in the schedule's selector instead.
+        Consumes no randomness, so seeded runs stay bit-identical
+        through a swap.  On a schedule-constructed network the schedule
+        owns the topology — it rebinds ``graph_at(round_index)`` before
+        each round, so a manual swap lasts only until the next round's
+        sync.  Encode persistent interventions in the schedule's
+        selector instead.
         """
-        if self._engine is not None:
-            self._engine.set_graph(graph)
-            return
-        if graph.num_nodes != self._graph.num_nodes:
-            raise ValidationError(
-                f"replacement graph has {graph.num_nodes} nodes, "
-                f"network has {self._graph.num_nodes}"
-            )
-        self._graph = graph
-        for node_id, node in self.nodes.items():
-            node.neighbors = graph.neighbors(node_id)
+        self.engine.set_graph(graph)
 
     def run_exchange_round(self) -> None:
         """One synchronous exchange round (lines 4-8 of Algorithms 1/2).
@@ -214,49 +119,15 @@ class RoundBasedNetwork:
         Every online node sends each held item to a uniformly random
         neighbor; offline nodes keep their items (lazy-walk fault model).
         """
-        if self._engine is not None:
-            self._engine.run_round()
-            return
-        if self.schedule is not None:
-            graph = self.schedule.graph_at(self._round_index)
-            if graph is not self._graph:
-                self.set_graph(graph)
-        offline = self.faults.offline_mask(
-            self.num_users, self._round_index, self.rng
-        )
-        sends: List[tuple[int, Any]] = []
-        for node_id, node in self.nodes.items():
-            node.online = not bool(offline[node_id])
-            if not node.online:
-                continue
-            for item in node.take_all():
-                recipient = node.sample_neighbor(self.rng)
-                # An offline recipient still receives: the message waits
-                # in her inbox (she is unavailable to *forward*, matching
-                # the lazy-walk model).
-                node.meter.record_send()
-                sends.append((recipient, item))
-        for recipient, item in sends:
-            self.nodes[recipient].receive(item)
-        for node in self.nodes.values():
-            node.collect_inbox()
-        self._round_index += 1
+        self.engine.run_round()
 
     def run_exchange(self, rounds: int) -> None:
         """Run ``rounds`` exchange rounds.
 
-        Engine-backed networks delegate the whole span to the engine so
-        the compiled backend can fuse multi-round execution into single
-        kernel calls; results are identical to looping
-        :meth:`run_exchange_round`.
+        The engine may fuse the span into one kernel call; results are
+        identical to looping :meth:`run_exchange_round`.
         """
-        if rounds < 0:
-            raise SimulationError(f"rounds must be non-negative, got {rounds}")
-        if self._engine is not None:
-            self._engine.run(rounds)
-            return
-        for _ in range(rounds):
-            self.run_exchange_round()
+        self.engine.run(rounds)
 
     # ------------------------------------------------------------------
     # Final delivery & queries
@@ -272,49 +143,31 @@ class RoundBasedNetwork:
         selection sees the full held list so the "single" protocol can
         sample or substitute a dummy.
         """
-        if self._engine is not None and select is None:
-            self.meters.messages_sent += self._engine.held_counts()
-            order = self._engine.drain()
-            senders = self._engine.token_position[order]
+        if select is None:
+            self.meters.messages_sent += self.engine.held_counts()
+            order = self.engine.drain()
+            senders = self.engine.token_position[order]
             payloads = [self._payloads[token] for token in order]
             self.server.deliver_many(senders.tolist(), payloads)
             return
-        if self._engine is not None:
-            held_lists = self.drain_held()
-            for node_id, held in enumerate(held_lists):
-                chosen = select(node_id, held, self.rng)
-                for item in chosen:
-                    self.meters.messages_sent[node_id] += 1
-                    self.server.deliver(node_id, item)
-            return
-        for node_id in range(self.num_users):
-            node = self.nodes[node_id]
-            held = node.take_all()
-            chosen = held if select is None else select(node_id, held, self.rng)
-            for item in chosen:
-                node.meter.record_send()
+        for node_id, held in enumerate(self.drain_held()):
+            for item in select(node_id, held, self.rng):
+                self.meters.messages_sent[node_id] += 1
                 self.server.deliver(node_id, item)
 
     def drain_held(self) -> List[List[Any]]:
         """Remove and return every node's held items, indexed by node.
 
-        Item order within a node matches the per-message inboxes on both
-        backends, so seeded runs drain identically.
+        Item order within a node is the per-message inbox order, so
+        seeded runs drain identically to the reference simulator.
         """
-        if self._engine is not None:
-            order = self._engine.drain()
-            positions = self._engine.token_position
-            held_lists: List[List[Any]] = [[] for _ in range(self.num_users)]
-            for token in order:
-                held_lists[positions[token]].append(self._payloads[token])
-            return held_lists
-        return [self.nodes[user].take_all() for user in range(self.num_users)]
+        order = self.engine.drain()
+        positions = self.engine.token_position
+        held_lists: List[List[Any]] = [[] for _ in range(self.num_users)]
+        for token in order:
+            held_lists[positions[token]].append(self._payloads[token])
+        return held_lists
 
     def held_counts(self) -> np.ndarray:
         """Current items held per user — the allocation vector ``L``."""
-        if self._engine is not None:
-            return self._engine.held_counts()
-        counts = np.zeros(self.num_users, dtype=np.int64)
-        for node_id, node in self.nodes.items():
-            counts[node_id] = len(node.held)
-        return counts
+        return self.engine.held_counts()

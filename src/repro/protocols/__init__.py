@@ -10,16 +10,11 @@
 * :func:`run_secure_protocol` — the Section 4.4 realization with the
   double-encryption envelope on the metered network simulator.
 
-Two execution engines, both metered, both running on
-:class:`repro.netsim.RoundBasedNetwork` under an exact shared RNG
-contract (a seeded run is identical on either):
-
-* the **fast** engine (``engine="fast"``/``"vectorized"``, the default)
-  is the flat-array :class:`repro.netsim.VectorizedExchange` — a round
-  costs a few NumPy kernels, scaling to millions of reports;
-* the **faithful** engine (``engine="faithful"``) runs per-message over
-  ``Node`` objects, keeping message identity — use it for
-  adversary/audit scenarios and as the cross-validation oracle.
+The runners exchange on :class:`repro.netsim.RoundBasedNetwork`, whose
+one array engine (:class:`repro.netsim.ExchangeEngine`) meters every
+user and scales to millions of reports.  A seeded run is bit-identical
+to the per-message reference simulator of :mod:`repro.testing.reference`,
+which the tests use as the oracle.
 """
 
 from repro.protocols.reports import Report, ProtocolResult

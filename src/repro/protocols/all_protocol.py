@@ -22,38 +22,16 @@ from repro.protocols.reports import ProtocolResult, Report
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
-#: Valid ``engine=`` choices for the protocol runners (and the Scenario
-#: spec layer, which imports this so the two never drift).
-ENGINES = ("fast", "vectorized", "faithful", "compiled")
-
-
-def resolve_backend(
-    engine: str,
-    faults: Optional[DropoutModel],
-    laziness: float,
-) -> tuple[str, Optional[DropoutModel]]:
-    """Map a protocol ``engine`` choice to a network backend + faults.
-
-    ``"fast"`` (and its explicit alias ``"vectorized"``) select the
-    flat-array engine; ``"faithful"`` selects the per-message path;
-    ``"compiled"`` selects the fused-kernel engine (numba JIT when the
-    ``repro[compiled]`` extra is installed, pure-NumPy otherwise).
-    ``laziness`` is sugar for ``IndependentDropout`` on any backend
-    (the paper's lazy-walk fault model); passing both is ambiguous.
-    """
-    if engine in ("fast", "vectorized"):
-        backend = "vectorized"
-    elif engine in ("faithful", "compiled"):
-        backend = engine
-    else:
-        raise ValidationError(
-            f"unknown engine {engine!r}; use one of {ENGINES}"
-        )
+def resolve_faults(
+    faults: Optional[DropoutModel], laziness: float
+) -> Optional[DropoutModel]:
+    """``laziness`` is sugar for ``IndependentDropout`` (the paper's
+    lazy-walk fault model); passing both is ambiguous."""
     if laziness:
         if faults is not None:
             raise ValidationError("pass either faults or laziness, not both")
         faults = IndependentDropout(laziness)
-    return backend, faults
+    return faults
 
 
 def _randomize_inputs(
@@ -87,7 +65,6 @@ def run_all_protocol(
     *,
     values: Optional[Sequence[Any]] = None,
     randomizer: Optional[LocalRandomizer] = None,
-    engine: str = "fast",
     faults: Optional[DropoutModel] = None,
     laziness: float = 0.0,
     rng: RngLike = None,
@@ -106,16 +83,9 @@ def run_all_protocol(
         Optional raw user values ``x_i``; omitted for privacy-only runs.
     randomizer:
         Optional ``A_ldp`` applied to each value before the exchange.
-    engine:
-        ``"fast"``/``"vectorized"`` (flat-array exchange engine — the
-        default) or ``"faithful"`` (per-message on the ``Node``-object
-        simulator).  Both run on :class:`RoundBasedNetwork` under an
-        exact shared RNG contract, so a seeded run produces identical
-        results on either; the faithful path keeps per-message identity
-        for adversary/audit scenarios.
     faults:
         Dropout model (offline users keep their reports — the lazy-walk
-        fault model of Section 4.5); works on both engines.
+        fault model of Section 4.5).
     laziness:
         Shorthand for ``faults=IndependentDropout(laziness)``.
     rng:
@@ -130,10 +100,8 @@ def run_all_protocol(
     check_non_negative_int(rounds, "rounds")
     generator = ensure_rng(rng)
     reports = _randomize_inputs(randomizer, values, graph.num_nodes, generator)
-    backend, faults = resolve_backend(engine, faults, laziness)
-
     network = RoundBasedNetwork(
-        graph, faults=faults, rng=generator, backend=backend
+        graph, faults=resolve_faults(faults, laziness), rng=generator
     )
     network.seed_items({report.origin: [report] for report in reports})
     network.run_exchange(rounds)

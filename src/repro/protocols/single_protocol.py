@@ -20,7 +20,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.all_protocol import _randomize_inputs, resolve_backend
+from repro.protocols.all_protocol import _randomize_inputs, resolve_faults
 from repro.protocols.reports import ProtocolResult, Report
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
@@ -49,7 +49,6 @@ def run_single_protocol(
     values: Optional[Sequence[Any]] = None,
     randomizer: Optional[LocalRandomizer] = None,
     dummy_factory: Optional[Callable[[np.random.Generator], Any]] = None,
-    engine: str = "fast",
     faults: Optional[DropoutModel] = None,
     laziness: float = 0.0,
     rng: RngLike = None,
@@ -62,7 +61,7 @@ def run_single_protocol(
 
     The final selection consumes the RNG as *one batched draw* over the
     non-empty holders (in user order), then one draw per dummy in user
-    order — identical across engines for a fixed seed.
+    order — identical on the reference simulator for a fixed seed.
 
     Returns
     -------
@@ -73,10 +72,8 @@ def run_single_protocol(
     check_non_negative_int(rounds, "rounds")
     generator = ensure_rng(rng)
     reports = _randomize_inputs(randomizer, values, graph.num_nodes, generator)
-    backend, faults = resolve_backend(engine, faults, laziness)
-
     network = RoundBasedNetwork(
-        graph, faults=faults, rng=generator, backend=backend
+        graph, faults=resolve_faults(faults, laziness), rng=generator
     )
     network.seed_items({report.origin: [report] for report in reports})
     network.run_exchange(rounds)
@@ -87,8 +84,7 @@ def run_single_protocol(
     # Line 9 of Algorithm 2, batched: one vectorized draw selects the
     # uniform index for every non-empty holder at once (the per-user
     # ``rng.integers`` loop was the hot spot on million-user sweeps).
-    # Both engines share this path, so seeded runs stay identical across
-    # backends; dummy draws happen after the batch, in user order.
+    # Dummy draws happen after the batch, in user order.
     nonempty = np.flatnonzero(allocation > 0)
     picks = np.empty(graph.num_nodes, dtype=np.int64)
     picks[nonempty] = generator.integers(0, allocation[nonempty])

@@ -1,7 +1,7 @@
 """The frozen, serializable :class:`Scenario` and its component specs.
 
 A scenario is *data*: which graph to build, which ``A_ldp`` to apply,
-which protocol/engine to exchange with and for how many rounds, which
+which protocol to exchange with and for how many rounds, which
 fault model to apply, and the accounting knobs ``(delta, delta2)``.
 ``Scenario.to_dict`` / ``from_dict`` round-trip exactly through JSON, so
 a workload can live in a file, travel over the wire, or key a cache.
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.exceptions import ValidationError
-from repro.protocols.all_protocol import ENGINES as _ENGINES
 from repro.utils.validation import check_delta, check_epsilon, check_probability
 
 #: Values accepted wherever a component spec is expected.
@@ -31,6 +30,8 @@ SpecLike = Union["ComponentSpec", str, Mapping[str, Any], None]
 
 _PROTOCOLS = ("all", "single")
 _ANALYSES = ("stationary", "symmetric")
+#: Legacy values of the deprecated ``Scenario.engine`` field.
+_ENGINES = ("fast", "vectorized", "faithful", "compiled")
 
 
 def _number(value: Any, cast: type, name: str):
@@ -256,9 +257,11 @@ class Scenario:
         Exchange rounds ``t``; ``None`` selects the graph's mixing time
         ``alpha^{-1} log n`` (the paper's operating point).
     engine:
-        ``"fast"``/``"vectorized"`` (flat-array engine) or ``"faithful"``
-        (per-message simulator).  Seeded runs are bit-identical across
-        engines.
+        Deprecated and ignored: every scenario runs on the one exchange
+        engine.  Still validated against the legacy names
+        (``"fast"``, ``"vectorized"``, ``"faithful"``, ``"compiled"``)
+        and serialized, so archived scenario JSON parses and keeps its
+        :func:`~repro.scenario.cache.scenario_hash`.
     faults / laziness:
         Dropout model reference, or the lazy-walk shorthand probability.
         Mutually exclusive.

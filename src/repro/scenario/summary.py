@@ -10,11 +10,10 @@ and the presence rules.
 Presence rules
 --------------
 * The execution scalars (protocol, engine, backend, num_users, rounds,
-  dummy_count, elapsed_seconds) are always present.  ``backend`` is the
-  *resolved* exchange backend for ``engine`` — for ``compiled`` it
-  records which kernels actually ran (``compiled-numba`` vs
-  ``compiled-numpy``), so archived results from differently provisioned
-  hosts stay interpretable.
+  dummy_count, elapsed_seconds) are always present.  ``engine`` echoes
+  the scenario's deprecated field; ``backend`` records which kernel
+  bodies the exchange engine ran (``numba`` or ``numpy``), so archived
+  results from differently provisioned hosts stay interpretable.
 * The four accounting fields appear together iff a central bound was
   computed (``central_epsilon is not None``).
 * ``empirical_epsilon`` appears iff the Theorem 6.1 estimate exists
@@ -49,12 +48,12 @@ def run_summary_payload(
     schedule_accounting: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Build the canonical JSON-able digest of one scenario execution."""
-    from repro.netsim.kernels import backend_label
+    from repro.netsim.kernels import implementation_label
 
     payload: Dict[str, Any] = {
         "protocol": protocol,
         "engine": engine,
-        "backend": backend_label(engine),
+        "backend": implementation_label(),
         "num_users": int(num_users),
         "rounds": int(rounds),
         "dummy_count": int(dummy_count),

@@ -189,22 +189,11 @@ class ReproService:
         store: Optional[str] = None,
         job_timeout: Optional[float] = None,
         profile_budget: Optional[int] = None,
-        engine: Optional[str] = None,
     ):
         if job_timeout is not None and not job_timeout > 0:
             raise ValidationError(
                 f"job_timeout must be positive seconds, got {job_timeout!r}"
             )
-        if engine is not None:
-            from repro.protocols.all_protocol import ENGINES
-
-            if engine not in ENGINES:
-                raise ValidationError(
-                    f"unknown engine {engine!r}; use one of {ENGINES}"
-                )
-        #: Deployment-wide engine override applied to every submitted
-        #: job scenario (``--engine``); None keeps each scenario's own.
-        self._engine = engine
         self.started = time.time()
         self._job_timeout = job_timeout
         self._store_errors = 0
@@ -324,6 +313,11 @@ class ReproService:
             ConnectionError,
             TimeoutError,
         ):
+            pass
+        except asyncio.CancelledError:
+            # Shutdown cancels handlers still waiting on an idle
+            # keep-alive connection.  Ending normally keeps asyncio's
+            # stream callback from logging the cancellation as an error.
             pass
         finally:
             writer.close()
@@ -510,10 +504,6 @@ class ReproService:
 
     def _enqueue(self, kind: str, body: Mapping[str, Any]) -> Dict[str, Any]:
         scenario = self._scenario_of(body)
-        if self._engine is not None:
-            # Deployment override: this host decides which exchange
-            # backend executes its jobs (e.g. compiled on a numba host).
-            scenario = scenario.updated(engine=self._engine)
         options: Dict[str, Any] = {}
         if kind == "audit":
             for name in ("trials", "rounds"):
@@ -685,10 +675,7 @@ class ReproService:
             "graph_cache": api.cache_stats(),
             "kernel_sampler": api.sampler_stats(),
             "profile_store": api.profile_stats(),
-            "exchange_backend": {
-                **backend_info(),
-                "engine_override": self._engine,
-            },
+            "exchange_backend": backend_info(),
             "jobs": {"retained": len(jobs), **by_status},
             "queue": {"depth": depth, "max": self._max_queue},
             "store_errors": self._store_errors,
@@ -745,7 +732,6 @@ async def serve(
     store: Optional[str] = None,
     job_timeout: Optional[float] = None,
     profile_budget: Optional[int] = None,
-    engine: Optional[str] = None,
     echo=print,
 ) -> None:
     """Run the service until SIGINT/SIGTERM (the CLI entry point)."""
@@ -756,7 +742,6 @@ async def serve(
         store=store,
         job_timeout=job_timeout,
         profile_budget=profile_budget,
-        engine=engine,
     )
     server = await service.start(host, port)
     stop = asyncio.Event()
@@ -782,7 +767,6 @@ async def serve(
             if profile_budget is not None
             else ""
         )
-        + (f", engine {engine}" if engine is not None else "")
         + ") — GET /healthz /stats /results,"
         " POST /bound /stationary_bound /run /audit",
         flush=True,
@@ -874,19 +858,18 @@ class ServerHandle:
 def main(arguments: list) -> None:
     """``python -m repro serve [--host H] [--port P] [--workers N]
     [--spill-dir DIR] [--store DB] [--max-queue N] [--job-timeout S]
-    [--profile-budget BYTES] [--engine NAME] [--require-jit]``."""
+    [--profile-budget BYTES] [--require-jit]``."""
     usage = (
         "usage: python -m repro serve [--host HOST] [--port PORT] "
         "[--workers N] [--spill-dir DIR] [--store DB] [--max-queue N] "
         "[--job-timeout SECONDS] [--profile-budget BYTES|512M|2G] "
-        "[--engine fast|vectorized|faithful|compiled] [--require-jit]"
+        "[--require-jit]"
     )
     host, port, workers, spill_dir = "127.0.0.1", 8777, 2, None
     store: Optional[str] = None
     max_queue: Optional[int] = None
     job_timeout: Optional[float] = None
     profile_budget: Optional[int] = None
-    engine: Optional[str] = None
     index = 0
     while index < len(arguments):
         flag = arguments[index]
@@ -919,8 +902,6 @@ def main(arguments: list) -> None:
                 job_timeout = float(value)
             elif flag == "--profile-budget":
                 profile_budget = api.parse_memory_budget(value)
-            elif flag == "--engine":
-                engine = value
             else:
                 raise SystemExit(usage)
         except (ValueError, ValidationError):
@@ -936,7 +917,6 @@ def main(arguments: list) -> None:
                 store=store,
                 job_timeout=job_timeout,
                 profile_budget=profile_budget,
-                engine=engine,
             )
         )
     except KeyboardInterrupt:

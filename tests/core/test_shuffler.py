@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.shuffler import NetworkShuffler
 from repro.exceptions import NotErgodicError, ValidationError
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.ldp.randomized_response import BinaryRandomizedResponse
+from repro.testing.reference import reference_protocols
 
 
 @pytest.fixture
@@ -110,6 +112,10 @@ class TestRun:
             shuffler.run([0] * 200, BinaryRandomizedResponse(2.0), rng=0)
 
     def test_faithful_engine(self, graph):
+        """The facade runs on the reference simulator too, identically."""
         shuffler = NetworkShuffler(graph, 1.0, 1e-6, rounds=3)
-        result = shuffler.run([0] * 200, engine="faithful", rng=0)
+        with reference_protocols():
+            result = shuffler.run([0] * 200, rng=0)
         assert result.meters is not None
+        engine = shuffler.run([0] * 200, rng=0)
+        np.testing.assert_array_equal(result.allocation, engine.allocation)

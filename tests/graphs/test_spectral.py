@@ -13,6 +13,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import (
+    _DENSE_EIGEN_LIMIT,
     mixing_time,
     normalized_adjacency,
     normalized_adjacency_eigenvalues,
@@ -122,6 +123,15 @@ class TestSpectralGap:
         g4 = spectral_gap(random_regular_graph(4, 200, rng=0))
         g16 = spectral_gap(random_regular_graph(16, 200, rng=0))
         assert g16 > g4
+
+    def test_lanczos_gap_bit_identical_across_calls(self):
+        """Above the dense limit the gap comes from ARPACK; repeated
+        calls in one process must agree bit for bit."""
+        graph = random_regular_graph(4, 2000, rng=0)
+        assert graph.num_nodes > _DENSE_EIGEN_LIMIT
+        first = spectral_gap(graph)
+        assert spectral_gap(graph) == first
+        assert spectral_gap(graph) == first
 
 
 class TestMixingTime:

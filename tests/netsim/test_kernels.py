@@ -1,11 +1,12 @@
-"""The compiled backend's kernel module, exercised without numba.
+"""The exchange kernels, exercised without numba.
 
-The numba-facing loops (``_round_loop`` / ``_rounds_loop``) are plain
-Python functions, so the JIT code *path* is testable on installs without
-the ``repro[compiled]`` extra: wire the interpreted loops into a
-:class:`CompiledExchange` and demand bit-equality with the vectorized
-oracle.  Implementation resolution (numpy fallback, ``require_jit``,
-broken-numba) is driven by monkeypatching the module's resolution state,
+The numba bodies (``_round_loop`` / ``_rounds_loop``) are plain Python
+functions, so the JIT code *path* is testable on installs without the
+``repro[compiled]`` extra: wire the interpreted loops into an
+:class:`ExchangeEngine` and demand bit-equality with the same engine on
+its NumPy bodies (which ``test_engine.py`` ties to the per-message
+reference).  Implementation resolution (NumPy bodies, ``require_jit``,
+broken numba) is driven by monkeypatching the module's resolution state,
 so every branch runs regardless of whether numba is installed.
 """
 
@@ -22,25 +23,32 @@ from repro.graphs.generators import (
     random_regular_graph,
 )
 from repro.graphs.graph import Graph
-from repro.netsim.engine import _DEGREE_CACHE_LIMIT
+from repro.netsim import engine as engine_module
 from repro.netsim import kernels
-from repro.netsim.engine import VectorizedExchange
+from repro.netsim.engine import _DEGREE_CACHE_LIMIT, ExchangeEngine
 from repro.netsim.faults import (
     AdversarialDropout,
     IndependentDropout,
     NoFaults,
 )
 from repro.netsim.kernels import (
-    CompiledExchange,
     backend_info,
-    backend_label,
+    implementation_label,
     set_require_jit,
 )
 
 
+def _numpy_engine(graph, seed, faults=None, **kwargs):
+    """An engine on the NumPy bodies, whichever bodies this host resolved."""
+    engine = ExchangeEngine(graph, faults=faults, rng=seed, **kwargs)
+    engine._round_kernel = kernels._round_numpy
+    engine._rounds_kernel = kernels._rounds_numpy
+    return engine
+
+
 def _interpreted_engine(graph, seed, faults=None):
-    """A compiled engine running the numba loops as plain Python."""
-    engine = CompiledExchange(graph, faults=faults, rng=seed)
+    """An engine running the numba loops as plain Python."""
+    engine = ExchangeEngine(graph, faults=faults, rng=seed)
     engine._round_kernel = kernels._round_loop
     engine._rounds_kernel = kernels._rounds_loop
     return engine
@@ -76,22 +84,23 @@ class TestInterpretedLoopKernels:
     @pytest.mark.parametrize("faults_factory", FAULT_FACTORIES)
     def test_round_loop_matches_vectorized(self, faults_factory):
         graph = random_regular_graph(4, 30, rng=0)
-        oracle = VectorizedExchange(graph, faults=faults_factory(), rng=42)
+        oracle = _numpy_engine(graph, 42, faults=faults_factory())
         loop = _interpreted_engine(graph, 42, faults=faults_factory())
         for engine in (oracle, loop):
             engine.seed_tokens(np.arange(30))
         for _ in range(8):
             oracle.run_round()
             loop.run_round()
+            np.testing.assert_array_equal(oracle._order, loop._order)
         _assert_engines_identical(oracle, loop)
 
     def test_rounds_loop_matches_vectorized(self):
         graph = random_regular_graph(4, 30, rng=1)
-        oracle = VectorizedExchange(graph, rng=9)
+        oracle = _numpy_engine(graph, 9)
         loop = _interpreted_engine(graph, 9)
         for engine in (oracle, loop):
             engine.seed_tokens(np.repeat(np.arange(30), 2))
-            engine.run(9)  # loop takes the fused NoFaults fast path
+            engine.run(9)  # static + NoFaults: the fused kernel
         _assert_engines_identical(oracle, loop)
 
     def test_round_loop_matches_across_schedule_swaps(self):
@@ -100,9 +109,7 @@ class TestInterpretedLoopKernels:
             cycle_graph(24),
             complete_graph(24),
         ])
-        oracle = VectorizedExchange(
-            schedule, faults=IndependentDropout(0.2), rng=5
-        )
+        oracle = _numpy_engine(schedule, 5, faults=IndependentDropout(0.2))
         loop = _interpreted_engine(
             schedule, 5, faults=IndependentDropout(0.2)
         )
@@ -116,10 +123,12 @@ class TestInterpretedLoopKernels:
 
 
 class TestCompiledEngine:
+    """The engine's kernel choice and buffer management."""
+
     def test_fused_run_matches_per_round_loop(self):
         graph = random_regular_graph(6, 40, rng=2)
-        fused = CompiledExchange(graph, rng=77)
-        stepped = CompiledExchange(graph, rng=77)
+        fused = ExchangeEngine(graph, rng=77)
+        stepped = ExchangeEngine(graph, rng=77)
         for engine in (fused, stepped):
             engine.seed_tokens(np.arange(40))
         fused.run(9)  # odd round count exercises the order swap
@@ -131,19 +140,19 @@ class TestCompiledEngine:
     def test_fused_run_chunks_uniform_blocks(self, monkeypatch):
         """Chunked pre-draws consume the identical stream."""
         graph = cycle_graph(10)
-        whole = CompiledExchange(graph, rng=3)
-        chunked = CompiledExchange(graph, rng=3)
+        whole = ExchangeEngine(graph, rng=3)
+        chunked = ExchangeEngine(graph, rng=3)
         for engine in (whole, chunked):
             engine.seed_tokens(np.arange(10))
         whole.run(8)
         # Force 3-round blocks (8 = 3 + 3 + 2 → odd/even chunk parity).
-        monkeypatch.setattr(kernels, "_UNIFORM_BLOCK", 30)
+        monkeypatch.setattr(engine_module, "_UNIFORM_BLOCK", 30)
         chunked.run(8)
         _assert_engines_identical(whole, chunked)
 
     def test_buffers_reused_across_rounds(self):
         graph = cycle_graph(12)
-        engine = CompiledExchange(graph, rng=0)
+        engine = ExchangeEngine(graph, rng=0)
         engine.seed_tokens(np.arange(12))
         engine.run_round()
         buffers = engine._buffers
@@ -152,7 +161,7 @@ class TestCompiledEngine:
 
     def test_buffers_rebuilt_on_token_count_change(self):
         graph = cycle_graph(12)
-        engine = CompiledExchange(graph, rng=0)
+        engine = ExchangeEngine(graph, rng=0)
         engine.seed_tokens(np.arange(12))
         engine.run(2)
         first = engine._buffers
@@ -164,7 +173,7 @@ class TestCompiledEngine:
 
     def test_drained_fused_run_only_advances_clock(self):
         graph = cycle_graph(8)
-        engine = CompiledExchange(graph, rng=0)
+        engine = ExchangeEngine(graph, rng=0)
         engine.seed_tokens(np.arange(8))
         engine.run(2)
         engine.drain()
@@ -174,8 +183,8 @@ class TestCompiledEngine:
 
     def test_trajectories_recorded_per_round(self):
         graph = cycle_graph(9)
-        plain = CompiledExchange(graph, rng=4)
-        recording = CompiledExchange(graph, rng=4, record_trajectories=True)
+        plain = ExchangeEngine(graph, rng=4)
+        recording = ExchangeEngine(graph, rng=4, record_trajectories=True)
         for engine in (plain, recording):
             engine.seed_tokens(np.arange(9))
             engine.run(5)  # recording engine must not take the fused path
@@ -188,7 +197,7 @@ class TestCompiledEngine:
             Graph(3, [(0, 1), (1, 2)]),
             Graph(3, [(0, 2)]),  # node 1 isolated
         ])
-        engine = CompiledExchange(graph_with_isolate, rng=0)
+        engine = ExchangeEngine(graph_with_isolate, rng=0)
         engine.seed_tokens(np.array([0]))
         engine.run_round()
         np.testing.assert_array_equal(engine.held_counts(), [0, 1, 0])
@@ -213,7 +222,7 @@ class TestImplementationResolution:
         try:
             assert kernels.require_jit_enabled()
             with pytest.raises(BackendUnavailableError):
-                CompiledExchange(cycle_graph(4), rng=0)
+                ExchangeEngine(cycle_graph(4), rng=0)
         finally:
             set_require_jit(previous)
 
@@ -221,7 +230,7 @@ class TestImplementationResolution:
         monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
         previous = set_require_jit(True)
         try:
-            engine = CompiledExchange(cycle_graph(4), rng=0, require_jit=False)
+            engine = ExchangeEngine(cycle_graph(4), rng=0, require_jit=False)
             assert engine.implementation == "numpy"
         finally:
             set_require_jit(previous)
@@ -236,30 +245,25 @@ class TestImplementationResolution:
         with pytest.raises(BackendUnavailableError):
             kernels.resolve_implementation(require_jit=False)
 
-    def test_backend_label_per_engine(self, monkeypatch):
+    def test_implementation_label(self, monkeypatch):
         monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
-        assert backend_label("fast") == "vectorized"
-        assert backend_label("vectorized") == "vectorized"
-        assert backend_label("faithful") == "faithful"
-        assert backend_label("compiled") == "compiled-numpy"
+        assert implementation_label() == "numpy"
         monkeypatch.setitem(kernels._RESOLVED, "implementation", "broken")
         monkeypatch.setitem(kernels._RESOLVED, "error", RuntimeError("x"))
-        assert backend_label("compiled") == "compiled-broken"
+        assert implementation_label() == "broken"
 
     def test_backend_info_payload(self):
         info = backend_info()
-        assert set(info) == {
-            "numba_available", "compiled_kernels", "require_jit"
-        }
+        assert set(info) == {"numba_available", "kernels", "require_jit"}
         assert info["numba_available"] == kernels.NUMBA_AVAILABLE
-        assert info["compiled_kernels"] in ("numba", "numpy", "broken")
+        assert info["kernels"] in ("numba", "numpy", "broken")
 
 
 class TestBoundedDegreeCache:
     def test_static_engine_never_populates_cache(self):
         """Manual swaps on a static engine bypass the cache entirely —
         nothing pins the replaced graphs alive."""
-        engine = VectorizedExchange(cycle_graph(10), rng=0)
+        engine = ExchangeEngine(cycle_graph(10), rng=0)
         assert engine._degree_cache_limit == 1
         for seed in range(6):
             engine.set_graph(random_regular_graph(4, 10, rng=seed))
@@ -271,7 +275,7 @@ class TestBoundedDegreeCache:
             cycle_graph(20),
             complete_graph(20),
         ])
-        engine = VectorizedExchange(schedule, rng=0)
+        engine = ExchangeEngine(schedule, rng=0)
         assert engine._degree_cache_limit == 3
         engine.seed_tokens(np.arange(20))
         engine.run(9)  # cycles through every graph three times
@@ -282,7 +286,7 @@ class TestBoundedDegreeCache:
             random_regular_graph(4, 16, rng=0),
             cycle_graph(16),
         ])
-        engine = VectorizedExchange(schedule, rng=0)
+        engine = ExchangeEngine(schedule, rng=0)
         engine.seed_tokens(np.arange(16))
         engine.run_round()  # graph 0 (bound at construction)
         engine.run_round()  # graph 1 — cached by set_graph
@@ -294,7 +298,7 @@ class TestBoundedDegreeCache:
     def test_cache_limit_caps_lazy_schedules(self):
         graphs = [random_regular_graph(4, 12, rng=seed) for seed in range(5)]
         schedule = DynamicGraphSchedule(graphs)
-        engine = VectorizedExchange(schedule, rng=0)
+        engine = ExchangeEngine(schedule, rng=0)
         # The bound formula: min(num_graphs, module cap).
         assert engine._degree_cache_limit == min(
             schedule.num_graphs, _DEGREE_CACHE_LIMIT

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.netsim.metrics import EntityMeter
-from repro.netsim.node import Node
+from repro.testing.reference import Node
 from repro.netsim.server import Server
 
 

@@ -10,6 +10,7 @@ from repro.graphs.generators import complete_graph
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.netsim.faults import IndependentDropout
 from repro.protocols.all_protocol import run_all_protocol
+from repro.testing.reference import reference_protocols
 
 
 class TestFastEngine:
@@ -66,7 +67,8 @@ class TestFastEngine:
             run_all_protocol(small_regular, -1, rng=0)
 
     def test_rejects_unknown_engine(self, small_regular):
-        with pytest.raises(ValidationError):
+        """The runner has one engine; an ``engine=`` choice is refused."""
+        with pytest.raises(TypeError):
             run_all_protocol(small_regular, 1, engine="quantum", rng=0)
 
     def test_delivered_by_matches_allocation(self, small_regular):
@@ -78,12 +80,16 @@ class TestFastEngine:
 
 
 class TestFaithfulEngine:
+    """Algorithm 1 on the per-message reference simulator."""
+
     def test_conservation(self, small_regular):
-        result = run_all_protocol(small_regular, 5, engine="faithful", rng=0)
+        with reference_protocols():
+            result = run_all_protocol(small_regular, 5, rng=0)
         assert result.check_conservation()
 
     def test_meters_populated(self, small_regular):
-        result = run_all_protocol(small_regular, 5, engine="faithful", rng=0)
+        with reference_protocols():
+            result = run_all_protocol(small_regular, 5, rng=0)
         assert result.meters is not None
         sent = [
             result.meters.meter(u).messages_sent
@@ -93,26 +99,25 @@ class TestFaithfulEngine:
         assert np.mean(sent) == pytest.approx(6.0, rel=0.35)
 
     def test_agrees_with_fast_statistically(self):
-        """Both engines should produce the same allocation distribution."""
+        """The engine and the reference produce the same allocation
+        distribution across seeds (and the same allocation per seed)."""
         graph = complete_graph(30)
         fast_max = np.mean([
             run_all_protocol(graph, 4, rng=seed).allocation.max()
             for seed in range(20)
         ])
-        faithful_max = np.mean([
-            run_all_protocol(graph, 4, engine="faithful", rng=seed).allocation.max()
-            for seed in range(20)
-        ])
+        with reference_protocols():
+            faithful_max = np.mean([
+                run_all_protocol(graph, 4, rng=seed).allocation.max()
+                for seed in range(20)
+            ])
         assert fast_max == pytest.approx(faithful_max, rel=0.35)
 
     def test_dropout_faults(self, small_regular):
-        result = run_all_protocol(
-            small_regular,
-            5,
-            engine="faithful",
-            faults=IndependentDropout(0.5),
-            rng=0,
-        )
+        with reference_protocols():
+            result = run_all_protocol(
+                small_regular, 5, faults=IndependentDropout(0.5), rng=0
+            )
         assert result.check_conservation()
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graphs.generators import random_regular_graph
 from repro.protocols.all_protocol import run_all_protocol
 from repro.protocols.single_protocol import run_single_protocol
+from repro.testing.reference import reference_protocols
 
 
 @st.composite
@@ -46,12 +47,15 @@ class TestAllProtocolInvariants:
     @given(protocol_setup())
     @settings(max_examples=20, deadline=None)
     def test_engines_agree_on_counts(self, setup):
-        """Fast and faithful engines both conserve reports."""
+        """The engine and the reference simulator both conserve reports,
+        with bit-identical allocations."""
         graph, rounds, seed = setup
         fast = run_all_protocol(graph, rounds, rng=seed)
-        faithful = run_all_protocol(graph, rounds, engine="faithful", rng=seed)
+        with reference_protocols():
+            faithful = run_all_protocol(graph, rounds, rng=seed)
         assert len(fast.server_reports) == len(faithful.server_reports)
         assert fast.allocation.sum() == faithful.allocation.sum()
+        np.testing.assert_array_equal(fast.allocation, faithful.allocation)
 
 
 class TestSingleProtocolInvariants:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
 from repro.graphs.spectral import stationary_distribution
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.protocols.single_protocol import (
     expected_empty_handed_stationary,
     run_single_protocol,
 )
+from repro.testing.reference import reference_protocols
 
 
 class TestSingleProtocol:
@@ -69,14 +69,15 @@ class TestSingleProtocol:
         assert np.mean([r.payload for r in dummies]) < 0.3
 
     def test_faithful_engine(self, small_regular):
-        result = run_single_protocol(
-            small_regular, 5, engine="faithful", rng=0
-        )
+        """Algorithm 2 on the per-message reference simulator."""
+        with reference_protocols():
+            result = run_single_protocol(small_regular, 5, rng=0)
         assert len(result.server_reports) == small_regular.num_nodes
         assert result.meters is not None
 
     def test_rejects_unknown_engine(self, small_regular):
-        with pytest.raises(ValidationError):
+        """The runner has one engine; an ``engine=`` choice is refused."""
+        with pytest.raises(TypeError):
             run_single_protocol(small_regular, 1, engine="bogus", rng=0)
 
     def test_protocol_field(self, small_regular):

@@ -1,7 +1,11 @@
 """Acceptance: a seeded ``repro.run`` reproduces the hand-wired pipeline
-bit for bit — reports, meters, and accounting — on both engines."""
+bit for bit — reports, meters, and accounting — whatever legacy
+``engine`` value the scenario carries, and against a hand-wired pipeline
+on the per-message reference simulator too."""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from repro.scenario import (
     run,
     seed_streams,
 )
+from repro.testing.reference import reference_protocols
 
 _N = 64
 _DEGREE = 4
@@ -54,17 +59,24 @@ def _scenario(protocol: str, engine: str, **overrides) -> Scenario:
 
 
 def _hand_wired(protocol: str, engine: str):
-    """The pre-Scenario pipeline, drawing RNGs per the documented contract."""
+    """The pre-Scenario pipeline, drawing RNGs per the documented contract.
+
+    ``engine="faithful"`` wires it on the per-message reference simulator.
+    """
     streams = seed_streams(_SEED)
     graph = random_regular_graph(_DEGREE, _N, rng=streams.graph)
     values = (streams.values.random(_N) < 0.4).astype(int).tolist()
     randomizer = BinaryRandomizedResponse(_EPSILON0)
     runner = run_all_protocol if protocol == "all" else run_single_protocol
-    result = runner(
-        graph, _ROUNDS,
-        values=values, randomizer=randomizer,
-        engine=engine, rng=streams.protocol,
+    simulator = (
+        reference_protocols() if engine == "faithful"
+        else contextlib.nullcontext()
     )
+    with simulator:
+        result = runner(
+            graph, _ROUNDS,
+            values=values, randomizer=randomizer, rng=streams.protocol,
+        )
     summary = spectral_summary(graph)
     sum_squared = summary.sum_squared_bound(_ROUNDS)
     if protocol == "all":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.netsim.kernels import resolve_implementation
 from repro.scenario import Scenario, clear_graph_cache, digest_run, run
 from repro.scenario.summary import run_summary_payload
 
@@ -70,7 +71,7 @@ class TestPresenceRules:
             "protocol", "engine", "backend", "num_users", "rounds",
             "dummy_count", "elapsed_seconds",
         ]
-        assert payload["backend"] == "vectorized"
+        assert payload["backend"] == resolve_implementation()
 
     def test_accounting_quartet_travels_together(self):
         payload = run_summary_payload(

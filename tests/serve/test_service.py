@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import time
 
 import pytest
@@ -92,11 +93,9 @@ class TestIntrospection:
         }
         assert payload["store_errors"] == 0
         assert set(payload["exchange_backend"]) == {
-            "numba_available", "compiled_kernels", "require_jit",
-            "engine_override",
+            "numba_available", "kernels", "require_jit",
         }
-        assert payload["exchange_backend"]["engine_override"] is None
-        assert payload["exchange_backend"]["compiled_kernels"] in (
+        assert payload["exchange_backend"]["kernels"] in (
             "numba", "numpy", "broken"
         )
         assert set(payload["queue"]) == {"depth", "max"}
@@ -522,32 +521,60 @@ class TestStoreErrorAccounting:
 
 
 class TestEngineOverride:
-    """``serve --engine`` pins the exchange backend for every job."""
+    """Every job runs on the one exchange engine; no deployment option
+    selects another."""
 
-    def test_service_pins_engine_for_all_jobs(self):
+    def test_jobs_record_resolved_kernels(self):
+        from repro.netsim.kernels import implementation_label
+
         clear_graph_cache()
-        with ServerHandle.start(engine="compiled") as handle:
+        with ServerHandle.start() as handle:
             connection = http.client.HTTPConnection(
                 handle.host, handle.port, timeout=30
             )
             try:
+                legacy = {**SCENARIO, "engine": "compiled"}
                 status, job = request(
-                    connection, "POST", "/run", {"scenario": SCENARIO}
+                    connection, "POST", "/run", {"scenario": legacy}
                 )
                 assert status == 202
                 finished = wait_for_job(connection, job["id"])
                 assert finished["status"] == "done"
                 assert finished["result"]["engine"] == "compiled"
-                assert finished["result"]["backend"].startswith("compiled-")
+                assert finished["result"]["backend"] == implementation_label()
                 _, stats = request(connection, "GET", "/stats")
-                backend = stats["exchange_backend"]
-                assert backend["engine_override"] == "compiled"
+                assert stats["exchange_backend"]["kernels"] == (
+                    implementation_label()
+                )
             finally:
                 connection.close()
         clear_graph_cache()
 
     def test_unknown_engine_rejected_at_construction(self):
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             ReproService(engine="quantum")
+
+
+class TestShutdown:
+    def test_stop_with_idle_keep_alive_client_logs_no_traceback(
+        self, caplog
+    ):
+        """Stopping the server while a client still holds an idle
+        keep-alive connection ends that connection's handler quietly."""
+        caplog.set_level(logging.DEBUG)
+        handle = ServerHandle.start()
+        connection = http.client.HTTPConnection(
+            handle.host, handle.port, timeout=30
+        )
+        try:
+            status, _ = request(connection, "GET", "/healthz")
+            assert status == 200
+            handle.stop()  # the connection is still open and idle
+            assert not handle._thread.is_alive()
+        finally:
+            connection.close()
+        logged = [
+            record for record in caplog.records
+            if record.levelno >= logging.ERROR or record.exc_info
+        ]
+        assert logged == [], [record.getMessage() for record in logged]

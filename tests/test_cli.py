@@ -6,6 +6,7 @@ import pytest
 
 from repro import Scenario
 from repro.__main__ import main
+from repro.netsim.kernels import resolve_implementation
 
 
 @pytest.fixture
@@ -510,17 +511,29 @@ class TestSweepFaultFlags:
 
 
 class TestEngineFlag:
-    """``--engine`` / ``--require-jit`` on run and sweep."""
+    """The exchange engine is not selectable: ``--engine`` is gone, a
+    legacy ``engine`` field in scenario JSON still parses and runs on the
+    one engine, and ``--require-jit`` stays a loud check."""
 
     def test_run_engine_override_recorded_in_summary(
-        self, scenario_file, capsys
+        self, scenario_file, tmp_path, capsys
     ):
         import json
 
-        main(["run", scenario_file, "--json", "--engine", "compiled"])
+        with open(scenario_file) as handle:
+            legacy = Scenario.from_json(handle.read())
+        path = tmp_path / "legacy.json"
+        path.write_text(legacy.updated(engine="compiled").to_json())
+        main(["run", str(path), "--json"])
         payload = json.loads(capsys.readouterr().out)
+        main(["run", scenario_file, "--json"])
+        default = json.loads(capsys.readouterr().out)
         assert payload["engine"] == "compiled"
-        assert payload["backend"].startswith("compiled-")
+        assert payload["backend"] == resolve_implementation()
+        for key in ("engine", "elapsed_seconds"):
+            payload.pop(key)
+            default.pop(key)
+        assert payload == default
 
     def test_run_default_engine_backend_recorded(self, scenario_file, capsys):
         import json
@@ -528,11 +541,11 @@ class TestEngineFlag:
         main(["run", scenario_file, "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["engine"] == "fast"
-        assert payload["backend"] == "vectorized"
+        assert payload["backend"] == resolve_implementation()
 
     def test_run_rejects_unknown_engine(self, scenario_file):
-        with pytest.raises(SystemExit, match="engine"):
-            main(["run", scenario_file, "--engine", "quantum"])
+        with pytest.raises(SystemExit, match="usage"):
+            main(["run", scenario_file, "--engine", "compiled"])
 
     def test_run_engine_flag_requires_value(self, scenario_file):
         with pytest.raises(SystemExit, match="usage"):
@@ -546,21 +559,17 @@ class TestEngineFlag:
         monkeypatch.setitem(kernels._RESOLVED, "implementation", "numpy")
         try:
             with pytest.raises(SystemExit, match="run failed"):
-                main([
-                    "run", scenario_file,
-                    "--engine", "compiled", "--require-jit",
-                ])
+                main(["run", scenario_file, "--require-jit"])
         finally:
             kernels.set_require_jit(False)
 
-    def test_sweep_engine_override(self, scenario_file, capsys):
-        main([
-            "sweep", scenario_file,
-            "--axis", "rounds=2,3",
-            "--engine", "compiled",
-        ])
-        output = capsys.readouterr().out
-        assert "empirical eps" in output
+    def test_sweep_rejects_engine_flag(self, scenario_file):
+        with pytest.raises(SystemExit, match="usage"):
+            main([
+                "sweep", scenario_file,
+                "--axis", "rounds=2,3",
+                "--engine", "compiled",
+            ])
 
     def test_engine_is_sweepable_axis(self, scenario_file, capsys):
         main([
