@@ -21,6 +21,7 @@ from repro.amplification.network_shuffle import epsilon_all_stationary
 from repro.auditing.auditor import audit_network_shuffle
 from repro.graphs.generators import grid_graph, random_regular_graph
 from repro.graphs.spectral import mixing_time, spectral_summary
+from repro.testing.reference import looped_audit
 
 _EPS0 = 1.0
 _TRIALS = 2000
@@ -71,11 +72,11 @@ def test_audit_engine_speedup(benchmark, config):
     on a 1000-node k-regular graph — here the 25x40 torus (the paper's
     IoT sensor topology, 4-regular) at its own mixing time, the
     operating point every experiment in this repo audits at.  The
-    retained ``method="loop"`` reproduces the pre-PR engine trial for
-    trial; its cost is measured on a 100-trial probe and scaled
-    linearly (the loop is a per-trial Python loop, so scaling is exact
-    and, if anything, *understates* the loop by amortizing its fixed
-    setup).  The scalar-ppf threshold sweep the pre-PR auditor also
+    reference loop (:func:`repro.testing.reference.looped_audit`)
+    reproduces the pre-PR engine trial for trial; its cost is measured
+    on a 100-trial probe and scaled linearly (the loop is a per-trial
+    Python loop, so scaling is exact and, if anything, *understates*
+    the loop by amortizing its fixed setup).  The scalar-ppf threshold sweep the pre-PR auditor also
     paid (~0.5 s) is excluded — conservative in the same direction.
     """
     torus = grid_graph(25, 40, periodic=True)
@@ -93,10 +94,7 @@ def test_audit_engine_speedup(benchmark, config):
 
     probe_trials = 100
     started = time.perf_counter()
-    audit_network_shuffle(
-        torus, _EPS0, rounds, trials=probe_trials, rng=config.seed,
-        method="loop",
-    )
+    looped_audit(torus, _EPS0, rounds, trials=probe_trials, rng=config.seed)
     loop_seconds = (time.perf_counter() - started) * (_TRIALS / probe_trials)
 
     speedup = loop_seconds / fast_seconds

@@ -1,11 +1,13 @@
 """Secure-protocol realization shootout: batched envelopes vs the loop.
 
-Both modes perform the identical cryptographic work (modular
-exponentiation dominates), so the batched driver's win is bounded by
-the per-message Python overhead it removes — dict-of-inboxes traffic,
-per-envelope PKI lookups, and per-message meter calls.  The bench
-asserts the batched mode reproduces the loop's outputs exactly and is
-not slower; the measured ratio is printed for the trajectory store.
+The batched driver (``run_secure_protocol``) and the per-message
+reference (``repro.testing.reference.run_secure_per_message``) perform
+the identical cryptographic work (modular exponentiation dominates), so
+the batched driver's win is bounded by the per-message Python overhead
+it removes — dict-of-inboxes traffic, per-envelope PKI lookups, and
+per-message meter calls.  The bench asserts the batched driver
+reproduces the loop's outputs exactly and is not slower; the measured
+ratio is printed for the trajectory store.
 """
 
 from __future__ import annotations
@@ -16,23 +18,24 @@ import numpy as np
 
 from repro.graphs.generators import random_regular_graph
 from repro.protocols.secure import run_secure_protocol
+from repro.testing.reference import run_secure_per_message
 
 _NUM_USERS = 128
 _DEGREE = 6
 _ROUNDS = 6
 
 
-def _timed_secure(batched: bool):
+def _timed_secure(runner):
     graph = random_regular_graph(_DEGREE, _NUM_USERS, rng=0)
     values = list(range(_NUM_USERS))
     start = time.perf_counter()
-    result = run_secure_protocol(graph, _ROUNDS, values, rng=0, batched=batched)
+    result = runner(graph, _ROUNDS, values, rng=0)
     return time.perf_counter() - start, result
 
 
 def test_batched_secure_not_slower_and_identical():
-    loop_time, loop = _timed_secure(batched=False)
-    batched_time, batched = _timed_secure(batched=True)
+    loop_time, loop = _timed_secure(run_secure_per_message)
+    batched_time, batched = _timed_secure(run_secure_protocol)
     ratio = loop_time / batched_time
     print(
         f"\nper-message: {loop_time:.3f}s  batched: {batched_time:.3f}s  "

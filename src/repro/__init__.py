@@ -50,8 +50,8 @@ Package map:
                           (``python -m repro serve``)
 ``repro.store``           persistent SQLite campaign store
                           (``python -m repro results``)
-``repro.testing``         fault-injection harness for chaos-testing
-                          the sweep engine
+``repro.testing``         test equipment: the fault-injection harness
+                          and the reference implementations (oracles)
 ========================  ==============================================
 """
 

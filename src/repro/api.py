@@ -40,8 +40,9 @@ Schedule accounting
     :func:`profile_stats` / :func:`reset_profile_stats` for the
     out-of-core engine's counters.
 Auditor planning
-    :func:`resolve_method` / :func:`should_memoize` — the public
-    replacements for the auditor's former private heuristics.
+    :func:`resolve_method` — the Monte Carlo engine the auditor picks
+    for a topology and round count (``"kernel"`` or ``"tiled"``); no
+    option overrides it.
 Campaign store
     :class:`ResultsStore` / :func:`open_store` — the persistent results
     database behind ``sweep(store=...)`` incremental re-runs;
@@ -60,11 +61,7 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
 from repro.amplification.network_shuffle import NetworkShuffleBound
-from repro.auditing.auditor import (
-    AuditResult,
-    resolve_method,
-    should_memoize,
-)
+from repro.auditing.auditor import AuditResult, resolve_method
 from repro.exceptions import (
     BackendUnavailableError,
     ExecutionTimeoutError,
@@ -157,7 +154,6 @@ __all__ = [
     "seed_streams",
     "set_profile_policy",
     "set_require_jit",
-    "should_memoize",
     "spill_graph",
     "stationary_bound",
     "store_aggregate",

@@ -28,39 +28,42 @@ measured privacy loss collapses — amplification made visible.
 
 Monte Carlo engine
 ------------------
-Everything is trial-batched.  Two fast engines share the same
-estimator (tokens and trials are jointly independent, so any sampler
-with the exact per-token ``t``-step law produces the same statistic
-distribution):
+Everything is trial-batched.  Two engines share the same estimator
+(tokens and trials are jointly independent, so any sampler with the
+exact per-token ``t``-step law produces the same statistic
+distribution), and the auditor picks between them itself
+(:func:`resolve_method`):
 
-* ``method="tiled"`` simulates all ``trials x n`` token walks in a
-  single flat :func:`~repro.graphs.walks.simulate_trial_walks` call
-  (tiled start nodes), draws the randomizer flips for every trial at
-  once, and reduces to per-trial statistics with one segmented
-  (axis-1) reduction.  Cost scales with ``rounds``.
-* ``method="kernel"`` computes the ``t``-step transition kernel
-  ``M^t`` once (``t`` sparse-dense products, shared by both worlds)
-  and samples every token's final holder directly from its kernel row
-  by vectorized rejection against a scaled-uniform proposal — after
-  mixing the rows are nearly flat, so a couple of passes settle all
-  ``trials x n`` tokens and the sampling cost is *independent of*
-  ``rounds``.  Non-victim payloads are drawn as fair coins directly
-  (binary RR applied to a uniform bit is a uniform bit — exactly the
-  same law, one fewer pass over the batch).
+* The **kernel** engine runs on static graphs of at most
+  :data:`KERNEL_MAX_NODES` nodes at ``rounds >= 8``.  It computes the
+  ``t``-step transition kernel ``M^t`` once (``t`` sparse-dense
+  products, shared by both worlds) and samples every token's final
+  holder directly from its kernel row by vectorized rejection against
+  a scaled-uniform proposal — after mixing the rows are nearly flat,
+  so a couple of passes settle all ``trials x n`` tokens and the
+  sampling cost is *independent of* ``rounds``.  Non-victim payloads
+  are drawn as fair coins directly (binary RR applied to a uniform bit
+  is a uniform bit — exactly the same law, one fewer pass over the
+  batch).
+* The **tiled** engine runs everywhere else: larger graphs, shorter
+  walks and dynamic schedules.  It simulates all ``trials x n`` token
+  walks in a single flat
+  :func:`~repro.graphs.walks.simulate_trial_walks` call (tiled start
+  nodes), draws the randomizer flips for every trial at once, and
+  reduces to per-trial statistics with one segmented (axis-1)
+  reduction.  Cost scales with ``rounds``.
 
-``method="auto"`` (default) picks ``kernel`` for mixed walks on graphs
-small enough to hold the dense kernel and ``tiled`` otherwise.  The
-threshold sweep is shared: sorted-array ``searchsorted`` counts plus
-*vectorized* Clopper-Pearson bounds (``beta.ppf`` on arrays) —
+The threshold sweep is shared: sorted-array ``searchsorted`` counts
+plus *vectorized* Clopper-Pearson bounds (``beta.ppf`` on arrays) —
 identical ``(eps, threshold)`` on the same statistics arrays as the
 scalar sweep, orders of magnitude fewer scipy calls.
 
 Seed-stream contract: ``audit_network_shuffle`` derives one child
 generator per world (``D`` first, then ``D'``) with the SeedSequence
-spawning protocol.  The retained reference implementation
-(``method="loop"``) uses the same per-world children but draws trial
-by trial, so all methods agree statistically (same estimator, same
-trial count) without being bit-identical.
+spawning protocol.  The per-trial loop in :mod:`repro.testing.reference`
+(a test oracle) uses the same per-world children but draws trial by
+trial, so it agrees with both engines statistically (same estimator,
+same trial count) without being bit-identical.
 """
 
 from __future__ import annotations
@@ -71,18 +74,16 @@ from typing import Any, Callable, Dict, Optional, Union
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG
-from repro.exceptions import ScheduleRefusedError, ValidationError
+from repro.exceptions import ValidationError
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
     position_distribution_on_schedule,
-    simulate_tokens_on_schedule,
     simulate_trial_walks_on_schedule,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.walks import (
     lazy_transition_matrix,
     position_distribution,
-    simulate_token_walks,
     simulate_trial_walks,
 )
 from repro.ldp.base import LocalRandomizer
@@ -91,8 +92,8 @@ from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 from repro.utils.validation import check_delta, check_positive_int
 
 #: Anywhere the auditor takes a topology it accepts a static graph or a
-#: dynamic schedule; the step-walking engines handle both, the kernel
-#: engine (one dense ``M^t``) is static-only and rejects schedules.
+#: dynamic schedule; the tiled engine walks both, the kernel engine (one
+#: dense ``M^t``) runs on static graphs only.
 GraphLike = Union[Graph, DynamicGraphSchedule]
 
 #: A trial-batched attacker statistic: maps ``(payloads, holders)``
@@ -140,25 +141,11 @@ class AuditResult:
         }
 
 
-def _clopper_pearson(successes: int, trials: int, *, upper: bool,
-                     confidence: float = 0.95) -> float:
-    """One-sided Clopper-Pearson bound on a binomial proportion."""
-    from scipy import stats
-
-    alpha = 1.0 - confidence
-    if upper:
-        if successes >= trials:
-            return 1.0
-        return float(stats.beta.ppf(1.0 - alpha, successes + 1, trials - successes))
-    if successes <= 0:
-        return 0.0
-    return float(stats.beta.ppf(alpha, successes, trials - successes + 1))
-
-
 def _clopper_pearson_upper(
     successes: np.ndarray, trials: int, confidence: float
 ) -> np.ndarray:
-    """Vectorized one-sided upper bound; matches the scalar helper exactly."""
+    """Vectorized one-sided upper bound; matches the scalar oracle
+    :func:`repro.testing.reference.clopper_pearson` exactly."""
     from scipy import stats
 
     successes = np.asarray(successes, dtype=np.float64)
@@ -173,7 +160,8 @@ def _clopper_pearson_upper(
 def _clopper_pearson_lower(
     successes: np.ndarray, trials: int, confidence: float
 ) -> np.ndarray:
-    """Vectorized one-sided lower bound; matches the scalar helper exactly."""
+    """Vectorized one-sided lower bound; matches the scalar oracle
+    :func:`repro.testing.reference.clopper_pearson` exactly."""
     from scipy import stats
 
     successes = np.asarray(successes, dtype=np.float64)
@@ -646,124 +634,33 @@ def _kernel_world_statistics(
     return out
 
 
-def _looped_world_statistics(
-    graph: GraphLike,
-    randomizer: BinaryRandomizedResponse,
-    rounds: int,
-    trials: int,
-    victim: int,
-    victim_bit: int,
-    statistic: AuditStatistic,
-    laziness: float,
-    generator: np.random.Generator,
-) -> np.ndarray:
-    """Reference per-trial loop (the pre-batching engine).
-
-    Kept for the statistical-equivalence oracle and the speedup
-    benchmark; same estimator and draw structure as the batched path,
-    executed one trial at a time.
-    """
-    n = graph.num_nodes
-    starts = np.arange(n, dtype=np.int64)
-    dynamic = isinstance(graph, DynamicGraphSchedule)
-    out = np.empty(trials, dtype=np.float64)
-    for index in range(trials):
-        bits = generator.integers(0, 2, size=n)
-        bits[victim] = victim_bit
-        payloads = randomizer.randomize_batch(bits, generator)
-        if dynamic:
-            holders = simulate_tokens_on_schedule(
-                graph, starts, rounds, laziness=laziness, rng=generator
-            )
-        else:
-            holders = simulate_token_walks(
-                graph, starts, rounds, laziness=laziness, rng=generator
-            )
-        out[index] = statistic(payloads[np.newaxis, :], holders[np.newaxis, :])[0]
-    return out
-
-
-_AUDIT_METHODS = ("auto", "kernel", "tiled", "loop")
-
-#: Largest graph whose dense ``t``-step kernel the auto method will
-#: hold in memory (n^2 float64 = 32 MiB at the cap).
+#: Largest graph whose dense ``t``-step kernel the auditor will hold in
+#: memory (n^2 float64 = 32 MiB at the cap).
 KERNEL_MAX_NODES = 2048
 #: Rounds below which walks are too unmixed for rejection sampling to
-#: pay off; the auto method step-simulates instead (cheap at small t).
+#: pay off; the auditor step-simulates instead (cheap at small t).
 _KERNEL_MIN_ROUNDS = 8
 
 
-def resolve_method(method: str, graph: GraphLike, rounds: int) -> str:
-    """The Monte Carlo engine ``audit_network_shuffle`` will actually run.
+def resolve_method(graph: GraphLike, rounds: int) -> str:
+    """The Monte Carlo engine ``audit_network_shuffle`` runs on this input.
 
-    Resolves ``"auto"`` against the graph and round count — ``"kernel"``
-    for mixed walks on graphs small enough to hold the dense ``M^t``
-    (:data:`KERNEL_MAX_NODES`), ``"tiled"`` otherwise; a dynamic
-    schedule always step-simulates (``"tiled"``).  Explicit methods pass
-    through unchanged, except ``"kernel"`` on a schedule, which is
-    refused: a time-varying topology has no single ``t``-step kernel.
+    ``"kernel"`` for mixed walks (``rounds >= 8``) on a static graph
+    small enough to hold the dense ``M^t`` (:data:`KERNEL_MAX_NODES`),
+    ``"tiled"`` otherwise; a dynamic schedule has no single ``t``-step
+    kernel and always step-simulates.
 
-    This is the public planning hook: callers that want to pre-build or
-    memoize kernel samplers (the scenario layer, the serving tier) ask
-    here instead of duplicating the heuristic.
+    This is the public planning hook: callers that memoize kernel
+    samplers (the scenario layer) ask here instead of duplicating the
+    rule.
     """
-    if method not in _AUDIT_METHODS:
-        raise ValidationError(
-            f"method must be one of {_AUDIT_METHODS}, got {method!r}"
-        )
-    if isinstance(graph, DynamicGraphSchedule):
-        if method == "kernel":
-            raise ScheduleRefusedError(
-                "method='kernel' precomputes one dense t-step kernel "
-                "M^t; a dynamic schedule has no single kernel — use "
-                "method='tiled' (or 'auto'), which walks the schedule "
-                "round by round"
-            )
-        return "tiled" if method == "auto" else method
-    if method != "auto":
-        return method
-    if graph.num_nodes <= KERNEL_MAX_NODES and rounds >= _KERNEL_MIN_ROUNDS:
+    if (
+        not isinstance(graph, DynamicGraphSchedule)
+        and graph.num_nodes <= KERNEL_MAX_NODES
+        and rounds >= _KERNEL_MIN_ROUNDS
+    ):
         return "kernel"
     return "tiled"
-
-
-def should_memoize(graph: GraphLike) -> bool:
-    """Whether a kernel sampler for ``graph`` is worth caching.
-
-    True exactly when the auto heuristic would consider the kernel
-    engine at all: a static graph within :data:`KERNEL_MAX_NODES`.
-    Past the cap a sampler's dense stage tables run to hundreds of
-    megabytes, so an explicitly requested kernel audit on a larger
-    graph should build call-scoped (freed on return) instead of
-    pinning them in a process-wide cache; a dynamic schedule has no
-    kernel to memoize.
-    """
-    if isinstance(graph, DynamicGraphSchedule):
-        return False
-    return graph.num_nodes <= KERNEL_MAX_NODES
-
-
-#: Deprecated private spellings -> public replacements (kept one
-#: release so external reach-ins fail soft, with a pointer).
-_DEPRECATED_NAMES = {
-    "_resolve_method": "resolve_method",
-    "_KERNEL_MAX_NODES": "KERNEL_MAX_NODES",
-}
-
-
-def __getattr__(name: str):
-    public = _DEPRECATED_NAMES.get(name)
-    if public is not None:
-        import warnings
-
-        warnings.warn(
-            f"repro.auditing.auditor.{name} is deprecated; use the "
-            f"public {public} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[public]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def audit_network_shuffle(
@@ -777,7 +674,6 @@ def audit_network_shuffle(
     victim: int = 0,
     statistic: Optional[AuditStatistic] = None,
     confidence: float = 0.95,
-    method: str = "auto",
     kernel_sampler: Optional[_KernelSampler] = None,
     label: Optional[str] = None,
     rng: RngLike = None,
@@ -794,20 +690,15 @@ def audit_network_shuffle(
     same ``victim`` the game flips).
 
     Each world draws from its own SeedSequence child generator (``D``
-    then ``D'``).  ``method`` selects the Monte Carlo engine (see the
-    module docstring): ``"auto"`` picks ``"kernel"`` for mixed walks on
-    graphs up to ``2048`` nodes and ``"tiled"`` otherwise;
-    ``"loop"`` is the retained per-trial reference — statistically
-    equivalent to both fast engines, not bit-identical (different draw
-    granularity).
+    then ``D'``).  The Monte Carlo engine is :func:`resolve_method`'s
+    pick (see the module docstring).
 
     ``kernel_sampler`` injects a pre-built (memoized) ``_KernelSampler``
     for the kernel engine — the scenario layer passes the graph
     bundle's, so audit sweeps stop rebuilding ``M^t`` per grid point.
     It must have been built for this exact ``(graph, rounds, laziness)``
     (the sampler build is deterministic, so a memoized instance is
-    bit-identical to a cold one); ignored when the resolved method is
-    not ``"kernel"``.
+    bit-identical to a cold one); ignored when the tiled engine runs.
     """
     check_positive_int(trials, "trials")
     check_positive_int(rounds + 1, "rounds + 1")
@@ -815,7 +706,6 @@ def audit_network_shuffle(
         raise ValidationError(
             f"victim {victim} out of range for {graph.num_nodes} users"
         )
-    resolved = resolve_method(method, graph, rounds)
     generator = ensure_rng(rng)
     rng_d, rng_d_prime = spawn_rngs(generator, 2)
     randomizer = BinaryRandomizedResponse(epsilon0)
@@ -824,7 +714,7 @@ def audit_network_shuffle(
             graph, rounds, laziness=laziness, victim=victim
         )
 
-    if resolved == "kernel":
+    if resolve_method(graph, rounds) == "kernel":
         sampler = (
             kernel_sampler if kernel_sampler is not None
             else _KernelSampler(graph, rounds, laziness)
@@ -836,13 +726,8 @@ def audit_network_shuffle(
                 world_rng,
             )
     else:
-        stepper = (
-            _tiled_world_statistics if resolved == "tiled"
-            else _looped_world_statistics
-        )
-
         def world_statistics(victim_bit: int, world_rng: np.random.Generator):
-            return stepper(
+            return _tiled_world_statistics(
                 graph, randomizer, rounds, trials, victim, victim_bit,
                 statistic, laziness, world_rng,
             )

@@ -48,11 +48,12 @@ def draw_ephemeral(rng: RngLike = None) -> int:
     """Draw one KEM ephemeral exponent — exactly the randomness a single
     :func:`encrypt` call consumes.
 
-    Batched protocol drivers (``run_secure_protocol(batched=True)``)
-    burn these at the per-message path's encryption points so the hop
-    draws that follow stay in draw-order lockstep with the loop path;
-    the batched encryptions then use fresh draws, which is sound because
-    the protocol's outputs are invariant to encryption randomness.
+    Batched protocol drivers
+    (:func:`repro.protocols.secure.run_secure_protocol`) burn these at
+    the per-message realization's encryption points so the hop draws
+    that follow stay in draw-order lockstep with it; the batched
+    encryptions then use fresh draws, which is sound because the
+    protocol's outputs are invariant to encryption randomness.
     """
     return _random_exponent(ensure_rng(rng))
 

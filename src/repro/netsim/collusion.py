@@ -126,34 +126,6 @@ def collect_observations(
     ]
 
 
-def _reverse_posterior_argmax(
-    graph: Graph, anchor: int, free_rounds: int
-) -> int:
-    """MAP origin for a walk anchored at ``anchor`` after ``free_rounds``.
-
-    By reversibility of the degree-biased walk, ``P(origin = i | at
-    anchor after r rounds)`` is proportional to ``pi_i M^r[i, anchor]``
-    under a uniform origin prior; we evolve the reverse walk from the
-    anchor and reweight by degrees.
-
-    Scalar reference kept for the batched-parity oracle; the attack
-    itself runs :func:`_batched_reverse_posterior_argmax`.
-    """
-    if free_rounds == 0:
-        return anchor
-    matrix_t = transition_matrix(graph).T.tocsr()
-    distribution = np.zeros(graph.num_nodes)
-    distribution[anchor] = 1.0
-    # Reverse chain: P(X_0 = i | X_r = a) ∝ pi_i P_i->a^{(r)}; for the
-    # degree-biased chain the time reversal equals the forward chain, so
-    # evolving from the anchor gives the posterior up to the pi reweight.
-    for _ in range(free_rounds):
-        distribution = matrix_t @ distribution
-    pi = stationary_distribution(graph)
-    posterior = distribution * pi
-    return int(np.argmax(posterior))
-
-
 #: Cap on dense-block cells (num_nodes x anchor columns) evolved at
 #: once; larger anchor sets are processed in column chunks so memory
 #: stays bounded on big graphs (the per-token loop this replaces was
@@ -166,13 +138,19 @@ def _batched_reverse_posterior_argmax(
 ) -> np.ndarray:
     """MAP origins for many ``(anchor, free_rounds)`` queries at once.
 
+    By reversibility of the degree-biased walk, ``P(origin = i | at
+    anchor after r rounds)`` is proportional to ``pi_i M^r[i, anchor]``
+    under a uniform origin prior, so the reverse walk evolved from the
+    anchor and reweighted by degrees is the posterior.
+
     One dense ``(n, k)`` block of the ``k`` unique anchors' one-hot
     columns is pushed through the sparse reverse chain; every query
     reads its answer off the block at its own horizon.  Each column
-    applies exactly the matrix-vector sequence of the scalar reference,
-    so the guesses match it bit for bit — with one chain evolution per
-    column chunk and one stationary-distribution solve total, instead
-    of one per token.
+    applies exactly the matrix-vector sequence of the scalar oracle
+    :func:`repro.testing.reference.reverse_posterior_argmax`, so the
+    guesses match it bit for bit — with one chain evolution per column
+    chunk and one stationary-distribution solve total, instead of one
+    per token.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     free_rounds = np.asarray(free_rounds, dtype=np.int64)

@@ -27,14 +27,10 @@ import numpy as np
 
 from repro.crypto.elgamal import Ciphertext, draw_ephemeral
 from repro.crypto.envelope import (
-    Envelope,
     open_batch,
-    open_envelope,
     seal_batch,
-    seal_for_server,
     server_open,
     wrap_batch,
-    wrap_for_hop,
 )
 from repro.crypto.keys import PublicKeyInfrastructure, UserKeyring
 from repro.exceptions import ProtocolError
@@ -75,18 +71,23 @@ def run_secure_protocol(
     randomizer: Optional[LocalRandomizer] = None,
     *,
     rng: RngLike = None,
-    batched: bool = True,
 ) -> SecureRunResult:
     """Run encrypted ``A_all`` and return the server's decrypted view.
 
-    ``batched=True`` (default) computes the full hop trajectory first,
-    then applies the envelope flow in per-round batch passes
-    (:func:`repro.crypto.envelope.seal_batch` / ``wrap_batch`` /
-    ``open_batch``) — same seeded outputs as the per-message loop
-    (``batched=False``, the reference realization), message for message
-    and meter for meter.  The two modes draw hop randomness in identical
-    order; only the throwaway encryption ephemerals differ, which the
-    outputs never depend on.
+    Trajectory first, then batch crypto.  Pass A replays the randomness
+    schedule of the per-message realization — the randomizer calls, hop
+    draws, and one burned KEM ephemeral per encryption point, in the
+    exact per-message order — which fixes every message's full hop
+    trajectory and all meters without touching a ciphertext.  Pass B
+    then runs the double-encryption envelope flow as one batch call per
+    protocol phase (:func:`repro.crypto.envelope.seal_batch` /
+    ``wrap_batch`` / ``open_batch``).  Seeded outputs are message for
+    message and meter for meter those of the per-message loop, which
+    lives on as the test oracle
+    :func:`repro.testing.reference.run_secure_per_message`: trajectories
+    (hence delivery order, payloads, and meters) depend only on the
+    draws Pass A reproduces, never on the throwaway encryption
+    ephemerals.
     """
     if len(values) != graph.num_nodes:
         raise ProtocolError(
@@ -94,118 +95,10 @@ def run_secure_protocol(
             f"n={graph.num_nodes}"
         )
     generator = ensure_rng(rng)
-    if batched:
-        return _run_batched(graph, rounds, values, randomizer, generator)
-    return _run_per_message(graph, rounds, values, randomizer, generator)
-
-
-def _run_per_message(
-    graph: Graph,
-    rounds: int,
-    values: Sequence[Any],
-    randomizer: Optional[LocalRandomizer],
-    generator: np.random.Generator,
-) -> SecureRunResult:
-    """The reference per-message realization (dict-of-inboxes loop)."""
-    meters = MeterBoard()
-
-    # --- 1. PKI setup -------------------------------------------------
-    pki = PublicKeyInfrastructure(rng=generator)
-    keyrings: Dict[int, UserKeyring] = {
-        ring.user_id: ring for ring in pki.register_all(graph.num_nodes)
-    }
-
-    # --- 2. Randomize, seal, first wrap -------------------------------
-    inboxes: Dict[int, List[Envelope]] = {u: [] for u in range(graph.num_nodes)}
-    for user in range(graph.num_nodes):
-        value = (
-            randomizer.randomize(values[user], generator)
-            if randomizer is not None
-            else values[user]
-        )
-        sealed = seal_for_server(pki, _serialize_value(value), rng=generator)
-        neighbor_ids = graph.neighbors(user)
-        if neighbor_ids.size == 0:
-            raise ProtocolError(f"user {user} has no neighbors to relay to")
-        first_hop = int(neighbor_ids[generator.integers(0, neighbor_ids.size)])
-        envelope = wrap_for_hop(pki, first_hop, sealed, rng=generator)
-        meters.meter(user).record_send()
-        inboxes[first_hop].append(envelope)
-        meters.meter(first_hop).record_receive()
-        meters.meter(first_hop).record_store()
-
-    # --- 3. Relay rounds ----------------------------------------------
-    for _ in range(max(0, rounds - 1)):
-        next_inboxes: Dict[int, List[Envelope]] = {
-            u: [] for u in range(graph.num_nodes)
-        }
-        for user in range(graph.num_nodes):
-            for envelope in inboxes[user]:
-                inner = open_envelope(keyrings[user], envelope)
-                # Honest-but-curious check: the relay must NOT be able to
-                # read the report — the inner layer is a ciphertext.
-                if not isinstance(inner, Ciphertext):
-                    raise ProtocolError("relay recovered a non-ciphertext layer")
-                neighbor_ids = graph.neighbors(user)
-                next_hop = int(
-                    neighbor_ids[generator.integers(0, neighbor_ids.size)]
-                )
-                rewrapped = wrap_for_hop(pki, next_hop, inner, rng=generator)
-                meters.meter(user).record_send()
-                meters.meter(user).record_release()
-                next_inboxes[next_hop].append(rewrapped)
-                meters.meter(next_hop).record_receive()
-                meters.meter(next_hop).record_store()
-        inboxes = next_inboxes
-
-    # --- 4. Final delivery + server decryption ------------------------
-    decrypted: List[Any] = []
-    delivered_by: List[int] = []
-    server_meter = meters.meter(SERVER_ID)
-    for user in range(graph.num_nodes):
-        for envelope in inboxes[user]:
-            inner = open_envelope(keyrings[user], envelope)
-            meters.meter(user).record_send()
-            meters.meter(user).record_release()
-            server_meter.record_receive()
-            payload = server_open(pki, inner)
-            decrypted.append(_deserialize_value(payload))
-            delivered_by.append(user)
-
-    if rounds >= 1 and len(decrypted) != graph.num_nodes:
-        raise ProtocolError(
-            f"secure A_all lost reports: {len(decrypted)} of {graph.num_nodes}"
-        )
-    return SecureRunResult(
-        decrypted_payloads=decrypted,
-        delivered_by=np.asarray(delivered_by, dtype=np.int64),
-        meters=meters,
-        rounds=rounds,
-    )
-
-
-def _run_batched(
-    graph: Graph,
-    rounds: int,
-    values: Sequence[Any],
-    randomizer: Optional[LocalRandomizer],
-    generator: np.random.Generator,
-) -> SecureRunResult:
-    """Trajectory-first realization: schedule pass, then batch crypto.
-
-    Pass A replays the per-message path's *randomness schedule* — the
-    randomizer calls, hop draws, and one burned KEM ephemeral per
-    encryption point, in the exact legacy order — which fixes every
-    message's full hop trajectory and all meters without touching a
-    ciphertext.  Pass B then runs the double-encryption envelope flow
-    as one batch call per protocol phase.  Outputs are bit-identical to
-    the loop: trajectories (hence delivery order, payloads, and meters)
-    depend only on the draws Pass A reproduces.
-    """
     num_users = graph.num_nodes
     meters = MeterBoard()
 
-    # --- 1. PKI setup (identical to the per-message path) -------------
+    # --- 1. PKI setup -------------------------------------------------
     pki = PublicKeyInfrastructure(rng=generator)
     keyrings: Dict[int, UserKeyring] = {
         ring.user_id: ring for ring in pki.register_all(num_users)
@@ -276,7 +169,8 @@ def _run_batched(
     for next_holders in hop_trajectory[1:]:
         inners = open_batch(keyrings, envelopes)
         for inner in inners:
-            # Honest-but-curious check, as in the per-message path.
+            # Honest-but-curious check: a relay must NOT be able to
+            # read the report — the inner layer is a ciphertext.
             if not isinstance(inner, Ciphertext):
                 raise ProtocolError("relay recovered a non-ciphertext layer")
         envelopes = wrap_batch(pki, next_holders, inners, rng=generator)

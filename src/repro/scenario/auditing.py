@@ -24,7 +24,6 @@ from repro.auditing.auditor import (
     AuditResult,
     audit_network_shuffle,
     resolve_method,
-    should_memoize,
 )
 from repro.exceptions import ValidationError
 from repro.ldp.randomized_response import BinaryRandomizedResponse
@@ -70,7 +69,6 @@ def audit(
     *,
     trials: Optional[int] = None,
     rounds: Optional[int] = None,
-    method: str = "auto",
     rng: RngLike = None,
 ) -> AuditResult:
     """Measure the scenario's empirical epsilon lower bound.
@@ -84,12 +82,6 @@ def audit(
         Overrides the spec's trial count (default 2000).
     rounds:
         Overrides the scenario's (resolved) exchange rounds.
-    method:
-        Monte Carlo engine override, forwarded to
-        :func:`repro.auditing.auditor.audit_network_shuffle`.  On a
-        ``schedule`` graph spec the walk-stepping engines (``tiled``,
-        ``loop``) apply and ``auto`` resolves to ``tiled``; ``kernel``
-        precomputes one static ``M^t`` and rejects schedules loudly.
     rng:
         Overrides the scenario seed's ``audit`` child stream — pass an
         explicit generator to draw audit replicas without re-deriving
@@ -129,16 +121,8 @@ def audit(
     # a rounds axis extends the cached matrix power chain — both
     # bit-identical to a cold build (the sampler build is
     # deterministic; only sampling consumes randomness).
-    # ``should_memoize`` gates this to the auto heuristic's node cap:
-    # past it the dense stage tables are hundreds of MB, so an
-    # explicitly requested kernel audit on a larger graph builds
-    # call-scoped (freed on return) instead of pinning them in the
-    # process-wide cache.
     sampler = None
-    if (
-        resolve_method(method, bundle.graph, steps) == "kernel"
-        and should_memoize(bundle.graph)
-    ):
+    if resolve_method(bundle.graph, steps) == "kernel":
         sampler = bundle.kernel_sampler(steps, laziness)
     return audit_network_shuffle(
         bundle.graph,
@@ -150,7 +134,6 @@ def audit(
         victim=victim,
         statistic=statistic,
         confidence=confidence,
-        method=method,
         kernel_sampler=sampler,
         label=f"scenario:{spec.kind}:t={steps}",
         rng=generator,

@@ -24,9 +24,9 @@ Endpoints (JSON in, JSON out):
     closed-form at-stationarity guarantee (no graph build for
     GRAPH_STATS kinds), synchronously.
 ``POST /run`` / ``POST /audit``
-    Body ``{"scenario": {...}}`` (audit also accepts ``trials``,
-    ``rounds``, ``method``) — enqueue a job; returns ``202`` with a
-    job id immediately.
+    Body ``{"scenario": {...}}`` (audit also accepts ``trials`` and
+    ``rounds``; the auditor picks its Monte Carlo engine itself) —
+    enqueue a job; returns ``202`` with a job id immediately.
 ``GET /jobs/<id>``
     Job status; ``result`` appears when done, ``error`` (the canonical
     :func:`repro.exceptions.error_payload`) when failed.
@@ -491,7 +491,13 @@ class ReproService:
 
     def _stationary_bound(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         scenario = self._scenario_of(body)
-        materialize = bool(body.get("materialize", False))
+        materialize = body.get("materialize")
+        if materialize is None:
+            materialize = False
+        elif not isinstance(materialize, bool):
+            raise InvalidScenarioError(
+                f"'materialize' must be a boolean, got {materialize!r}"
+            )
         return api.bound_payload(
             api.stationary_bound(scenario, materialize=materialize)
         )
@@ -506,13 +512,15 @@ class ReproService:
         scenario = self._scenario_of(body)
         options: Dict[str, Any] = {}
         if kind == "audit":
+            if "method" in body:
+                raise InvalidScenarioError(
+                    "'method' is not an audit option: the auditor picks "
+                    "its Monte Carlo engine itself"
+                )
             for name in ("trials", "rounds"):
                 value = self._int_option(body, name)
                 if value is not None:
                     options[name] = value
-            method = body.get("method")
-            if method is not None:
-                options["method"] = str(method)
         job = _Job(
             id=f"job-{next(self._job_ids)}",
             kind=kind,

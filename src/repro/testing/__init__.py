@@ -7,13 +7,19 @@ fault-tolerance machinery (per-point isolation, crash recovery,
 poison-point quarantine, incremental checkpointing) is exercised
 against *real* failures rather than mocks.
 
-:mod:`repro.testing.reference` is the per-message reference simulator
-of the exchange: the oracle the exchange engine's tests demand
-bit-identical seeded results against.
+:mod:`repro.testing.reference` holds the reference implementations the
+fast paths are tested against: the per-message exchange simulator, the
+auditor's per-trial loop and scalar Clopper-Pearson bound, the secure
+protocol's per-message realization and the collusion attack's scalar
+posterior.
 
-Nothing here is imported by the library's production paths except the
-single :func:`~repro.testing.faults.maybe_fire` hook in the sweep
-engine, which is a no-op unless a fault plan is explicitly installed.
+Nothing here is imported by the library's production paths except two
+:func:`~repro.testing.faults.maybe_fire` hooks — one per grid point in
+the sweep engine (:mod:`repro.scenario.sweep`), one per spilled block in
+the profile store (:mod:`repro.scenario.profile`) — and each is a no-op
+unless a fault plan is explicitly installed.  No production module
+imports :mod:`repro.testing.reference`;
+``tests/testing/test_import_boundary.py`` enforces both rules.
 """
 
 from repro.testing.faults import (

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.auditing import auditor
 from repro.auditing.auditor import (
-    _clopper_pearson,
     _KernelSampler,
     audit_local_randomizer,
     audit_network_shuffle,
@@ -22,6 +22,7 @@ from repro.graphs.generators import grid_graph, random_regular_graph
 from repro.graphs.walks import position_distribution
 from repro.ldp.laplace import LaplaceMechanism
 from repro.ldp.randomized_response import BinaryRandomizedResponse
+from repro.testing.reference import clopper_pearson, looped_audit
 
 
 def _scalar_epsilon_lower_bound(statistics_d, statistics_d_prime, delta,
@@ -45,10 +46,10 @@ def _scalar_epsilon_lower_bound(statistics_d, statistics_d_prime, delta,
                 (flagged_d, a.size, flagged_dp, b.size),
                 (flagged_dp, b.size, flagged_d, a.size),
             ):
-                fpr_upper = _clopper_pearson(
+                fpr_upper = clopper_pearson(
                     fc, ft, upper=True, confidence=confidence
                 )
-                tpr_lower = _clopper_pearson(
+                tpr_lower = clopper_pearson(
                     tc, tt, upper=False, confidence=confidence
                 )
                 numerator = tpr_lower - delta
@@ -196,6 +197,23 @@ class TestAuditNetworkShuffle:
         assert audit.epsilon_lower_bound < upper
 
 
+def _audit_on(engine, monkeypatch, graph, epsilon0, rounds, **kwargs):
+    """Audit on one pinned Monte Carlo engine.
+
+    The kernel and tiled engines are pinned by moving the auditor's
+    selection thresholds; the loop is the reference oracle.
+    """
+    if engine == "loop":
+        return looped_audit(graph, epsilon0, rounds, **kwargs)
+    with monkeypatch.context() as patch:
+        if engine == "kernel":
+            patch.setattr(auditor, "_KERNEL_MIN_ROUNDS", 0)
+        else:
+            patch.setattr(auditor, "KERNEL_MAX_NODES", 0)
+        assert auditor.resolve_method(graph, rounds) == engine
+        return audit_network_shuffle(graph, epsilon0, rounds, **kwargs)
+
+
 class TestEngineEquivalence:
     """The three Monte Carlo engines share one estimator.
 
@@ -204,42 +222,42 @@ class TestEngineEquivalence:
     an unmixed point (t=0, eps_hat ~ eps0) and past mixing (~0).
     """
 
+    ENGINES = ("kernel", "tiled", "loop")
+
     @pytest.fixture(scope="class")
     def graph(self):
         return random_regular_graph(6, 200, rng=0)
 
-    def test_unmixed_point_agrees(self, graph):
+    def test_unmixed_point_agrees(self, graph, monkeypatch):
         results = {
-            method: audit_network_shuffle(
-                graph, 1.0, 0, trials=4000, rng=7, method=method
+            engine: _audit_on(
+                engine, monkeypatch, graph, 1.0, 0, trials=4000, rng=7
             ).epsilon_lower_bound
-            for method in ("kernel", "tiled", "loop")
+            for engine in self.ENGINES
         }
-        for method, eps in results.items():
-            assert eps == pytest.approx(1.0, abs=0.3), (method, results)
+        for engine, eps in results.items():
+            assert eps == pytest.approx(1.0, abs=0.3), (engine, results)
 
-    def test_mixed_point_agrees(self, graph):
+    def test_mixed_point_agrees(self, graph, monkeypatch):
         results = {
-            method: audit_network_shuffle(
-                graph, 1.0, 14, trials=4000, rng=7, method=method
+            engine: _audit_on(
+                engine, monkeypatch, graph, 1.0, 14, trials=4000, rng=7
             ).epsilon_lower_bound
-            for method in ("kernel", "tiled", "loop")
+            for engine in self.ENGINES
         }
-        for method, eps in results.items():
-            assert eps < 0.25, (method, results)
+        for engine, eps in results.items():
+            assert eps < 0.25, (engine, results)
 
     def test_statistics_distributions_match(self, graph):
         """Kolmogorov-style check: per-engine world statistics have the
         same distribution (quantiles within Monte Carlo noise)."""
-        from repro.auditing import auditor as module
-
         statistic = weighted_evidence_statistic(graph, 6)
         randomizer = BinaryRandomizedResponse(1.0)
         sampler = _KernelSampler(graph, 6, 0.0)
-        kernel = module._kernel_world_statistics(
+        kernel = auditor._kernel_world_statistics(
             sampler, randomizer, 3000, 0, 0, statistic, np.random.default_rng(1)
         )
-        tiled = module._tiled_world_statistics(
+        tiled = auditor._tiled_world_statistics(
             graph, randomizer, 6, 3000, 0, 0, statistic, 0.0,
             np.random.default_rng(2),
         )
@@ -251,19 +269,23 @@ class TestEngineEquivalence:
             atol=0.25 * spread,
         )
 
-    def test_deterministic_per_method(self, graph):
-        for method in ("kernel", "tiled", "loop"):
-            first = audit_network_shuffle(
-                graph, 1.0, 4, trials=500, rng=3, method=method
+    def test_deterministic_per_method(self, graph, monkeypatch):
+        for engine in self.ENGINES:
+            first = _audit_on(
+                engine, monkeypatch, graph, 1.0, 4, trials=500, rng=3
             )
-            second = audit_network_shuffle(
-                graph, 1.0, 4, trials=500, rng=3, method=method
+            second = _audit_on(
+                engine, monkeypatch, graph, 1.0, 4, trials=500, rng=3
             )
             assert first == second
 
     def test_unknown_method_rejected(self, graph):
-        with pytest.raises(ValidationError, match="method"):
-            audit_network_shuffle(graph, 1.0, 2, trials=100, method="warp")
+        """No option selects an engine: ``method=`` is not a parameter."""
+        for method in ("auto", "kernel", "warp"):
+            with pytest.raises(TypeError, match="method"):
+                audit_network_shuffle(
+                    graph, 1.0, 2, trials=100, method=method
+                )
 
 
 class TestKernelSampler:
@@ -418,8 +440,9 @@ class TestVictimParameter:
 
 
 class TestScheduleAuditing:
-    """The step-walking engines extend to dynamic schedules; the kernel
-    engine (one static dense M^t) refuses them loudly."""
+    """The step-walking engines (tiled and the reference loop) extend to
+    dynamic schedules; the kernel engine (one static dense M^t) never
+    runs on one."""
 
     @pytest.fixture
     def schedule(self):
@@ -431,22 +454,20 @@ class TestScheduleAuditing:
         ])
 
     def test_auto_resolves_to_tiled(self, schedule):
+        assert auditor.resolve_method(schedule, 64) == "tiled"
         result = audit_network_shuffle(schedule, 1.0, 4, trials=150, rng=0)
         assert result.epsilon_lower_bound >= 0.0
 
     def test_kernel_rejected(self, schedule):
-        with pytest.raises(ValidationError, match="kernel"):
+        """Nothing can request the kernel engine on a schedule."""
+        with pytest.raises(TypeError, match="method"):
             audit_network_shuffle(
                 schedule, 1.0, 4, trials=150, method="kernel", rng=0
             )
 
     def test_tiled_and_loop_agree_statistically(self, schedule):
-        tiled = audit_network_shuffle(
-            schedule, 2.0, 0, trials=800, method="tiled", rng=0
-        )
-        looped = audit_network_shuffle(
-            schedule, 2.0, 0, trials=800, method="loop", rng=0
-        )
+        tiled = audit_network_shuffle(schedule, 2.0, 0, trials=800, rng=0)
+        looped = looped_audit(schedule, 2.0, 0, trials=800, rng=0)
         # t=0: both should measure ~eps0 (same estimator, same trial
         # count; draws differ in granularity only).
         assert tiled.epsilon_lower_bound == pytest.approx(

@@ -122,10 +122,8 @@ class TestVectorizedParity:
         assert observed == expected
 
     def test_batched_posterior_matches_scalar(self, medium_regular):
-        from repro.netsim.collusion import (
-            _batched_reverse_posterior_argmax,
-            _reverse_posterior_argmax,
-        )
+        from repro.netsim.collusion import _batched_reverse_posterior_argmax
+        from repro.testing.reference import reverse_posterior_argmax
 
         rng = np.random.default_rng(0)
         anchors = rng.integers(0, medium_regular.num_nodes, 40)
@@ -134,7 +132,7 @@ class TestVectorizedParity:
             medium_regular, anchors, free_rounds
         )
         scalar = np.array([
-            _reverse_posterior_argmax(medium_regular, int(a), int(r))
+            reverse_posterior_argmax(medium_regular, int(a), int(r))
             for a, r in zip(anchors, free_rounds)
         ])
         np.testing.assert_array_equal(batched, scalar)
@@ -142,7 +140,7 @@ class TestVectorizedParity:
     def test_attack_guesses_match_scalar_pipeline(self, medium_regular):
         """Seeded end-to-end parity: the vectorized attack reproduces the
         per-token loop implementation bit for bit."""
-        from repro.netsim.collusion import _reverse_posterior_argmax
+        from repro.testing.reference import reverse_posterior_argmax
 
         rounds, colluders = 10, list(range(25))
         result = run_collusion_attack(medium_regular, rounds, colluders, rng=5)
@@ -150,12 +148,12 @@ class TestVectorizedParity:
         trajectories = simulate_walk_trajectories(medium_regular, rounds, rng=5)
         n = medium_regular.num_nodes
         baseline = np.array([
-            _reverse_posterior_argmax(medium_regular, int(h), rounds)
+            reverse_posterior_argmax(medium_regular, int(h), rounds)
             for h in trajectories[:, -1]
         ])
         guesses = baseline.copy()
         for obs in collect_observations(trajectories, np.array(colluders)):
-            guesses[obs.token] = _reverse_posterior_argmax(
+            guesses[obs.token] = reverse_posterior_argmax(
                 medium_regular, obs.sender, obs.round_index - 1
             )
         assert result.baseline_accuracy == float(

@@ -11,6 +11,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.randomized_response import BinaryRandomizedResponse
 from repro.netsim.message import SERVER_ID
 from repro.protocols.secure import run_secure_protocol
+from repro.testing.reference import run_secure_per_message
 
 
 class TestSecureProtocol:
@@ -61,12 +62,13 @@ class TestSecureProtocol:
 
 
 class TestBatchedParity:
-    """``batched=True`` must reproduce the per-message loop exactly.
+    """The batched driver must reproduce the per-message loop exactly.
 
     Trajectories, delivery order, payloads, and every meter depend only
     on the randomness schedule Pass A replays — not on the throwaway
     encryption ephemerals — so a seeded batched run is message-for-
-    message identical to the reference realization.
+    message identical to the reference realization
+    (:func:`repro.testing.reference.run_secure_per_message`).
     """
 
     @pytest.mark.parametrize(
@@ -76,12 +78,8 @@ class TestBatchedParity:
     def test_outputs_identical(self, num_nodes, rounds, seed):
         graph = random_regular_graph(4, num_nodes, rng=seed)
         values = list(range(num_nodes))
-        loop = run_secure_protocol(
-            graph, rounds, values, rng=seed, batched=False
-        )
-        batched = run_secure_protocol(
-            graph, rounds, values, rng=seed, batched=True
-        )
+        loop = run_secure_per_message(graph, rounds, values, rng=seed)
+        batched = run_secure_protocol(graph, rounds, values, rng=seed)
         assert batched.decrypted_payloads == loop.decrypted_payloads
         np.testing.assert_array_equal(
             batched.delivered_by, loop.delivered_by
@@ -91,12 +89,8 @@ class TestBatchedParity:
     def test_meters_identical(self, rounds):
         graph = random_regular_graph(4, 16, rng=7)
         values = list(range(16))
-        loop = run_secure_protocol(
-            graph, rounds, values, rng=11, batched=False
-        )
-        batched = run_secure_protocol(
-            graph, rounds, values, rng=11, batched=True
-        )
+        loop = run_secure_per_message(graph, rounds, values, rng=11)
+        batched = run_secure_protocol(graph, rounds, values, rng=11)
         for user in list(range(16)) + [SERVER_ID]:
             a = loop.meters.meter(user)
             b = batched.meters.meter(user)
@@ -108,21 +102,15 @@ class TestBatchedParity:
     def test_randomizer_draws_in_same_order(self):
         graph = complete_graph(10)
         randomizer = BinaryRandomizedResponse(0.6)
-        loop = run_secure_protocol(
-            graph, 3, [0] * 10, randomizer, rng=5, batched=False
-        )
-        batched = run_secure_protocol(
-            graph, 3, [0] * 10, randomizer, rng=5, batched=True
-        )
+        loop = run_secure_per_message(graph, 3, [0] * 10, randomizer, rng=5)
+        batched = run_secure_protocol(graph, 3, [0] * 10, randomizer, rng=5)
         assert batched.decrypted_payloads == loop.decrypted_payloads
 
     def test_no_neighbor_raises_in_both_modes(self):
         graph = Graph(3, [(0, 1)])  # user 2 cannot relay
-        for batched in (False, True):
+        for runner in (run_secure_per_message, run_secure_protocol):
             with pytest.raises(ProtocolError):
-                run_secure_protocol(
-                    graph, 2, [1, 2, 3], rng=0, batched=batched
-                )
+                runner(graph, 2, [1, 2, 3], rng=0)
 
     def test_batched_deterministic(self):
         graph = random_regular_graph(4, 12, rng=1)
@@ -130,3 +118,12 @@ class TestBatchedParity:
         b = run_secure_protocol(graph, 3, list(range(12)), rng=4)
         assert a.decrypted_payloads == b.decrypted_payloads
         np.testing.assert_array_equal(a.delivered_by, b.delivered_by)
+
+    def test_batched_option_refused(self):
+        """One realization: no option selects the per-message loop."""
+        graph = random_regular_graph(4, 8, rng=0)
+        for batched in (False, True):
+            with pytest.raises(TypeError, match="batched"):
+                run_secure_protocol(
+                    graph, 2, list(range(8)), rng=0, batched=batched
+                )

@@ -284,12 +284,25 @@ class TestScheduleAudit:
         assert result.epsilon_lower_bound >= 0.0
 
     def test_kernel_method_refused(self):
-        with pytest.raises(ValidationError, match="kernel"):
+        with pytest.raises(TypeError, match="method"):
             audit(_schedule_scenario(), trials=200, method="kernel")
 
     def test_loop_method_supported(self):
-        result = audit(_schedule_scenario(), trials=50, method="loop")
-        assert result.epsilon_lower_bound >= 0.0
+        """The per-trial reference loop walks the scenario's schedule and
+        agrees with the audit (the tiled engine) to estimation noise."""
+        from repro.scenario.runner import _bundle_for
+        from repro.testing.reference import looped_audit
+
+        scenario = _schedule_scenario(
+            mechanism={"kind": "rr", "params": {"epsilon": 2.0}}
+        )
+        schedule = _bundle_for(scenario).graph
+        looped = looped_audit(schedule, 2.0, 0, trials=400, rng=0)
+        tiled = audit(scenario, trials=400, rounds=0)
+        assert looped.epsilon_lower_bound == pytest.approx(
+            tiled.epsilon_lower_bound, abs=0.6
+        )
+        assert looped.epsilon_lower_bound > 0.8
 
     def test_topk_statistic_on_schedule(self):
         scenario = _schedule_scenario(

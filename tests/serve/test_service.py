@@ -270,6 +270,35 @@ class TestErrorTaxonomy:
         assert status == 400
         assert "rounds" in payload["message"]
 
+    def test_non_boolean_materialize_is_400(self, client):
+        # A truthy string must not silently build the materialized graph.
+        _, before = request(client, "GET", "/stats")
+        for value in ("false", 0, [True]):
+            status, payload = request(
+                client, "POST", "/stationary_bound",
+                {"scenario": SCENARIO, "materialize": value})
+            assert status == 400, value
+            assert payload["error"] == "InvalidScenarioError"
+            assert "materialize" in payload["message"]
+        _, after = request(client, "GET", "/stats")
+        assert after["graph_cache"]["requests"] == \
+            before["graph_cache"]["requests"]
+        status, _ = request(client, "POST", "/stationary_bound",
+                            {"scenario": SCENARIO, "materialize": False})
+        assert status == 200
+
+    def test_audit_method_option_is_400(self, client):
+        _, before = request(client, "GET", "/stats")
+        for value in ("auto", "kernel", "warp"):
+            status, payload = request(
+                client, "POST", "/audit",
+                {"scenario": SCENARIO, "method": value})
+            assert status == 400, value
+            assert payload["error"] == "InvalidScenarioError"
+            assert "'method'" in payload["message"]
+        _, after = request(client, "GET", "/stats")
+        assert after["jobs"]["retained"] == before["jobs"]["retained"]
+
 
 class TestKeepAlive:
     def test_one_connection_serves_many_requests(self, server):
