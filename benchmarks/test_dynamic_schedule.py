@@ -41,7 +41,7 @@ def _timed_exchange(topology) -> tuple[float, np.ndarray]:
     # take the fused kernel, and the ratio would no longer isolate the
     # cost of the swaps.
     network = RoundBasedNetwork(topology, rng=0)
-    network.seed_items({i: [i] for i in range(_NUM_NODES)})
+    network.seed_items(range(_NUM_NODES), range(_NUM_NODES))
     start = time.perf_counter()
     for _ in range(_ROUNDS):
         network.run_exchange_round()
@@ -76,7 +76,7 @@ def test_bench_scheduled_exchange(benchmark, phases):
 
     def exchange():
         network = RoundBasedNetwork(schedule, rng=0)
-        network.seed_items({i: [i] for i in range(_NUM_NODES)})
+        network.seed_items(range(_NUM_NODES), range(_NUM_NODES))
         network.run_exchange(_ROUNDS)
 
     benchmark(exchange)

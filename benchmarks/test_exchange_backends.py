@@ -39,7 +39,7 @@ def _timed_exchange(network, *, stepped: bool = False, numpy: bool = False):
     if numpy:
         network.engine._round_kernel = kernels._round_numpy
         network.engine._rounds_kernel = kernels._rounds_numpy
-    network.seed_items({i: [i] for i in range(network.num_users)})
+    network.seed_items(range(network.num_users), range(network.num_users))
     start = time.perf_counter()
     if stepped:
         for _ in range(_ROUNDS):

@@ -30,7 +30,8 @@ SEED = 7
 
 
 def drive(network, stepped: bool):
-    network.seed_items({user: [("report", user)] for user in range(NUM_USERS)})
+    users = range(NUM_USERS)
+    network.seed_items(users, [("report", user) for user in users])
     start = time.perf_counter()
     if stepped:
         for _ in range(ROUNDS):

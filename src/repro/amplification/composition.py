@@ -14,11 +14,11 @@ for the accountant in :mod:`repro.core.accounting`.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro.utils.validation import check_delta, check_epsilon
+from repro.utils.validation import as_float_array, check_delta, check_epsilon
 
 
 def basic_composition(epsilons: Iterable[float], deltas: Iterable[float] = ()) -> Tuple[float, float]:
@@ -51,7 +51,7 @@ def advanced_composition(
 
 
 def heterogeneous_advanced_composition(
-    epsilons: Sequence[float], delta: float
+    epsilons: Iterable[float], delta: float
 ) -> float:
     """Kairouz-Oh-Viswanath composition of heterogeneous pure-DP
     mechanisms (Equation 6 of the paper).
@@ -69,7 +69,7 @@ def heterogeneous_advanced_composition(
         The composed ``eps`` such that the sequence is ``(eps, delta)``-DP.
     """
     check_delta(delta)
-    eps_array = np.asarray(list(epsilons), dtype=np.float64)
+    eps_array = as_float_array(epsilons)
     if eps_array.size == 0:
         return 0.0
     if np.any(eps_array < 0.0) or not np.all(np.isfinite(eps_array)):

@@ -36,13 +36,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.amplification.composition import heterogeneous_advanced_composition
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_delta, check_epsilon, check_positive_int
+from repro.utils.validation import (
+    as_float_array,
+    check_delta,
+    check_epsilon,
+    check_positive_int,
+)
 
 #: Lemma 5.2 blows the local budget up by this factor when converting an
 #: approximate-DP randomizer into a pure-DP "clone".
@@ -418,7 +423,7 @@ def _approximate_variant(
 # ----------------------------------------------------------------------
 def epsilon_from_report_sizes(
     epsilon0: float,
-    report_sizes: Sequence[int],
+    report_sizes: Iterable[int],
     delta: float,
 ) -> float:
     """Theorem 6.1 inner accounting: given realized report sizes
@@ -435,7 +440,7 @@ def epsilon_from_report_sizes(
     """
     epsilon0 = check_epsilon(epsilon0, "epsilon0")
     check_delta(delta, "delta")
-    sizes = np.asarray(list(report_sizes), dtype=np.float64)
+    sizes = as_float_array(report_sizes)
     if sizes.ndim != 1 or sizes.size == 0:
         raise ValidationError("report_sizes must be a non-empty 1-D sequence")
     if np.any(sizes < 0):

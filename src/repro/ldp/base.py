@@ -8,7 +8,7 @@ output distributions are ``(eps, delta)``-indistinguishable.
 from __future__ import annotations
 
 import abc
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -22,6 +22,14 @@ class LocalRandomizer(abc.ABC):
     Subclasses set ``_epsilon``/``_delta`` in their constructor and
     implement :meth:`_randomize`.
     """
+
+    #: Whether :meth:`randomize_batch` reproduces looping :meth:`randomize`
+    #: over the same values exactly: equal payloads (a 1-D batch holds
+    #: the scalars the loop returns, a 2-D batch one row per value) and
+    #: the same generator state afterwards.  The protocols randomize in
+    #: one batch only for mechanisms that declare it, so a subclass that
+    #: changes either method must re-declare it.
+    batch_matches_loop: ClassVar[bool] = False
 
     def __init__(self, epsilon: float, delta: float = 0.0):
         self._epsilon = check_epsilon(epsilon)

@@ -34,6 +34,8 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
 class GaussianMechanism(DebiasingRandomizer):
     """``(eps, delta)``-LDP Gaussian noise for values in ``[lower, upper]``."""
 
+    batch_matches_loop = True
+
     def __init__(
         self,
         epsilon: float,
@@ -73,7 +75,8 @@ class GaussianMechanism(DebiasingRandomizer):
         """Vectorized batch randomization."""
         generator = ensure_rng(rng)
         array = np.asarray(values, dtype=np.float64)
-        if array.size and (array.min() < self._lower or array.max() > self._upper):
+        inside = (array >= self._lower) & (array <= self._upper)
+        if not inside.all():  # NaN fails both comparisons
             raise ValidationError(
                 f"values must lie in [{self._lower}, {self._upper}]"
             )

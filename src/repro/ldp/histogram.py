@@ -25,6 +25,8 @@ from repro.utils.validation import check_positive_int
 class UnaryEncoding(DebiasingRandomizer):
     """Symmetric unary encoding over symbols ``0 .. k-1``."""
 
+    batch_matches_loop = True
+
     def __init__(self, epsilon: float, num_symbols: int):
         super().__init__(epsilon)
         self._num_symbols = check_positive_int(num_symbols, "num_symbols")
@@ -63,7 +65,10 @@ class UnaryEncoding(DebiasingRandomizer):
     def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
         """Vectorized batch randomization; returns ``(n, k)`` bit matrix."""
         generator = ensure_rng(rng)
-        symbols = np.asarray(values, dtype=np.int64)
+        raw = np.asarray(values)
+        if raw.size and raw.dtype.kind not in "biu":
+            raise ValidationError("unary encoding symbols must be integers")
+        symbols = raw.astype(np.int64, copy=False)
         if symbols.size and (symbols.min() < 0 or symbols.max() >= self._num_symbols):
             raise ValidationError("symbols out of range for unary encoding")
         one_hot = np.zeros((symbols.size, self._num_symbols), dtype=np.int8)

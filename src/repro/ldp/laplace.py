@@ -18,6 +18,8 @@ class LaplaceMechanism(DebiasingRandomizer):
     the identity.
     """
 
+    batch_matches_loop = True
+
     def __init__(self, epsilon: float, lower: float = 0.0, upper: float = 1.0):
         super().__init__(epsilon)
         if not np.isfinite(lower) or not np.isfinite(upper) or lower >= upper:
@@ -46,7 +48,8 @@ class LaplaceMechanism(DebiasingRandomizer):
         """Vectorized batch randomization."""
         generator = ensure_rng(rng)
         array = np.asarray(values, dtype=np.float64)
-        if array.size and (array.min() < self._lower or array.max() > self._upper):
+        inside = (array >= self._lower) & (array <= self._upper)
+        if not inside.all():  # NaN fails both comparisons
             raise ValidationError(
                 f"values must lie in [{self._lower}, {self._upper}]"
             )

@@ -29,6 +29,8 @@ class BinaryRandomizedResponse(DebiasingRandomizer):
     ``p/(1-p) = e^eps``.
     """
 
+    batch_matches_loop = True
+
     def __init__(self, epsilon: float):
         super().__init__(epsilon)
         self._truth_probability = math.exp(epsilon) / (math.exp(epsilon) + 1.0)
@@ -47,9 +49,15 @@ class BinaryRandomizedResponse(DebiasingRandomizer):
     def randomize_batch(self, values, rng: RngLike = None) -> np.ndarray:
         """Vectorized batch randomization of a bit array."""
         generator = ensure_rng(rng)
-        bits = np.asarray(values, dtype=np.int64)
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raw = np.asarray(values)
+        if raw.dtype.kind in "biu":
+            valid = not raw.size or (raw.min() >= 0 and raw.max() <= 1)
+        else:
+            # Like the per-value path: 1.0 passes, 0.5 must not cast to 0.
+            valid = bool(((raw == 0) | (raw == 1)).all())
+        if not valid:
             raise ValidationError("binary RR inputs must be 0/1")
+        bits = raw.astype(np.int64, copy=False)
         flips = generator.random(bits.shape) >= self._truth_probability
         return np.where(flips, 1 - bits, bits)
 

@@ -243,7 +243,8 @@ class ExchangeEngine:
         # Validate isolation against the topology in force at the next
         # round — on a schedule the seeding round's graph, not graph 0.
         self._sync_schedule()
-        if origins.size and np.any(self._degrees[np.unique(origins)] == 0):
+        counts = np.bincount(origins, minlength=self.num_users)
+        if counts[self._isolated].any():
             raise ValidationError("some tokens start on isolated nodes")
         if self._drained:
             # Drained tokens left the network (final delivery); seeding
@@ -261,7 +262,6 @@ class ExchangeEngine:
         self.token_position = np.concatenate([self.token_position, origins])
         self._order = np.argsort(self.token_position, kind="stable")
         self._drained = False
-        counts = np.bincount(origins, minlength=self.num_users)
         self.meters.current_items += counts
         np.maximum(self.meters.peak_items, self.meters.current_items,
                    out=self.meters.peak_items)

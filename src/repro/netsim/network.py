@@ -14,10 +14,11 @@ server deliveries — which is how the tests check the engine (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.exceptions import ValidationError
 from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.netsim.engine import ExchangeEngine
@@ -73,30 +74,32 @@ class RoundBasedNetwork:
     # ------------------------------------------------------------------
     # Seeding
     # ------------------------------------------------------------------
-    def seed_items(self, items_per_node: Dict[int, List[Any]]) -> None:
-        """Place initial items (randomized reports) into nodes.
+    def seed_items(self, origins: Sequence[int], items: Sequence[Any]) -> None:
+        """Place ``items[i]`` (a randomized report) at node ``origins[i]``.
 
-        Seeding is only allowed before the campaign's first exchange
-        round (repeated calls are fine) or after the final delivery —
+        Items seeded at one node are held in seeding order.  Seeding is
+        only allowed before the campaign's first exchange round
+        (repeated calls are fine) or after the final delivery —
         interleaving seeds with rounds would scramble the inbox-arrival
         order the exact RNG contract depends on.
         """
+        origins = np.asarray(origins, dtype=np.int64)
+        if origins.shape != (len(items),):
+            raise ValidationError(
+                f"need one origin per item: got {origins.size} origins "
+                f"for {len(items)} items"
+            )
         drained = self.engine.drained
-        origins: List[int] = []
-        payloads: List[Any] = []
-        for node_id, items in items_per_node.items():
-            origins.extend([node_id] * len(items))
-            payloads.extend(items)
         # Let the engine validate (and raise) before touching _payloads,
         # or a rejected seed would shift the token-id -> payload mapping
         # for every later campaign.
-        self.engine.seed_tokens(np.asarray(origins, dtype=np.int64))
+        self.engine.seed_tokens(origins)
         if drained:
             # The engine restarts token ids from 0 after a final
             # delivery; drop the delivered campaign's payloads so the
             # mapping stays aligned.
             self._payloads = []
-        self._payloads.extend(payloads)
+        self._payloads.extend(items)
 
     # ------------------------------------------------------------------
     # Exchange rounds
@@ -147,7 +150,7 @@ class RoundBasedNetwork:
             self.meters.messages_sent += self.engine.held_counts()
             order = self.engine.drain()
             senders = self.engine.token_position[order]
-            payloads = [self._payloads[token] for token in order]
+            payloads = [self._payloads[token] for token in order.tolist()]
             self.server.deliver_many(senders.tolist(), payloads)
             return
         for node_id, held in enumerate(self.drain_held()):
@@ -162,10 +165,10 @@ class RoundBasedNetwork:
         seeded runs drain identically to the reference simulator.
         """
         order = self.engine.drain()
-        positions = self.engine.token_position
+        holders = self.engine.token_position[order]
         held_lists: List[List[Any]] = [[] for _ in range(self.num_users)]
-        for token in order:
-            held_lists[positions[token]].append(self._payloads[token])
+        for token, holder in zip(order.tolist(), holders.tolist()):
+            held_lists[holder].append(self._payloads[token])
         return held_lists
 
     def held_counts(self) -> np.ndarray:

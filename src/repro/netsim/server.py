@@ -34,7 +34,7 @@ class Server:
         if len(senders) != len(payloads):
             raise ValueError("senders and payloads must have equal length")
         self._reports.extend(payloads)
-        self._delivered_by.extend(int(sender) for sender in senders)
+        self._delivered_by.extend(map(int, senders))
         self.meter.record_receive(len(payloads))
         self.meter.record_store(len(payloads))
 

@@ -34,29 +34,33 @@ def resolve_faults(
     return faults
 
 
-def _randomize_inputs(
+def randomize_payloads(
     randomizer: Optional[LocalRandomizer],
     values: Optional[Sequence[Any]],
     num_users: int,
     rng: np.random.Generator,
-) -> List[Report]:
-    """Line 2 of Algorithm 1: ``s_j <- A_ldp(x_j)`` for every user."""
+) -> List[Any]:
+    """Line 2 of Algorithm 1: ``s_j <- A_ldp(x_j)``, one payload per user.
+
+    A mechanism whose ``randomize_batch`` matches the per-user loop
+    (:attr:`~repro.ldp.base.LocalRandomizer.batch_matches_loop`) runs as
+    one batch; its payloads, their Python types and the generator state
+    afterwards equal the loop's.  Other mechanisms loop.
+    """
     if values is None:
-        # Privacy-only runs don't need payloads; carry the origin only.
-        return [Report(origin=user, payload=None) for user in range(num_users)]
+        # Privacy-only runs don't need payloads.
+        return [None] * num_users
     if len(values) != num_users:
         raise ValidationError(
             f"need one value per user: got {len(values)} values, n={num_users}"
         )
     if randomizer is None:
-        return [
-            Report(origin=user, payload=value)
-            for user, value in enumerate(values)
-        ]
-    return [
-        Report(origin=user, payload=randomizer.randomize(value, rng))
-        for user, value in enumerate(values)
-    ]
+        return list(values)
+    if not randomizer.batch_matches_loop:
+        return [randomizer.randomize(value, rng) for value in values]
+    batch = randomizer.randomize_batch(values, rng)
+    # The loop returns Python scalars, or one ndarray per user.
+    return batch.tolist() if batch.ndim == 1 else list(batch)
 
 
 def run_all_protocol(
@@ -99,24 +103,28 @@ def run_all_protocol(
     """
     check_non_negative_int(rounds, "rounds")
     generator = ensure_rng(rng)
-    reports = _randomize_inputs(randomizer, values, graph.num_nodes, generator)
+    num_users = graph.num_nodes
+    payloads = randomize_payloads(randomizer, values, num_users, generator)
     network = RoundBasedNetwork(
         graph, faults=resolve_faults(faults, laziness), rng=generator
     )
-    network.seed_items({report.origin: [report] for report in reports})
+    # The network carries user j's report as the index j; the Report
+    # objects are built once, after delivery, in delivery order.
+    network.seed_items(np.arange(num_users, dtype=np.int64), range(num_users))
     network.run_exchange(rounds)
     allocation = network.held_counts()
     network.deliver_to_server()
-    server_reports = list(network.server.reports)
+    delivered = network.server.reports
     delivered_by = np.asarray(network.server.delivered_by, dtype=np.int64)
-    if len(server_reports) != graph.num_nodes:
+    if len(delivered) != num_users:
         raise ProtocolError(
-            f"A_all lost reports: {len(server_reports)} of {graph.num_nodes} "
+            f"A_all lost reports: {len(delivered)} of {num_users} "
             "reached the server"
         )
+    server_reports = [Report(user, payloads[user]) for user in delivered]
     return ProtocolResult(
         protocol="all",
-        num_users=graph.num_nodes,
+        num_users=num_users,
         rounds=rounds,
         server_reports=server_reports,
         delivered_by=delivered_by,

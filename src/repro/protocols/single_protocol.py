@@ -20,7 +20,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.all_protocol import _randomize_inputs, resolve_faults
+from repro.protocols.all_protocol import randomize_payloads, resolve_faults
 from repro.protocols.reports import ProtocolResult, Report
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
@@ -71,14 +71,16 @@ def run_single_protocol(
     """
     check_non_negative_int(rounds, "rounds")
     generator = ensure_rng(rng)
-    reports = _randomize_inputs(randomizer, values, graph.num_nodes, generator)
+    num_users = graph.num_nodes
+    payloads = randomize_payloads(randomizer, values, num_users, generator)
     network = RoundBasedNetwork(
         graph, faults=resolve_faults(faults, laziness), rng=generator
     )
-    network.seed_items({report.origin: [report] for report in reports})
+    # As in A_all, the network carries user j's report as the index j.
+    network.seed_items(np.arange(num_users, dtype=np.int64), range(num_users))
     network.run_exchange(rounds)
     allocation = network.held_counts()
-    held_by_user: List[List[Report]] = network.drain_held()
+    held_by_user: List[List[int]] = network.drain_held()
     meters = network.meters
 
     # Line 9 of Algorithm 2, batched: one vectorized draw selects the
@@ -86,22 +88,23 @@ def run_single_protocol(
     # ``rng.integers`` loop was the hot spot on million-user sweeps).
     # Dummy draws happen after the batch, in user order.
     nonempty = np.flatnonzero(allocation > 0)
-    picks = np.empty(graph.num_nodes, dtype=np.int64)
+    picks = np.empty(num_users, dtype=np.int64)
     picks[nonempty] = generator.integers(0, allocation[nonempty])
 
     server_reports: List[Report] = []
-    delivered_by = np.arange(graph.num_nodes, dtype=np.int64)
+    delivered_by = np.arange(num_users, dtype=np.int64)
     dummy_count = 0
-    for user in range(graph.num_nodes):
+    for user in range(num_users):
         held = held_by_user[user]
         if not held:
             server_reports.append(_make_dummy(randomizer, dummy_factory, generator))
             dummy_count += 1
         else:
-            server_reports.append(held[picks[user]])
+            origin = held[picks[user]]
+            server_reports.append(Report(origin, payloads[origin]))
     return ProtocolResult(
         protocol="single",
-        num_users=graph.num_nodes,
+        num_users=num_users,
         rounds=rounds,
         server_reports=server_reports,
         delivered_by=delivered_by,

@@ -187,8 +187,17 @@ class ReferenceNetwork:
         """Number of user nodes."""
         return self.graph.num_nodes
 
-    def seed_items(self, items_per_node: Dict[int, List[Any]]) -> None:
-        """Place initial items into nodes (same seeding rule as the engine)."""
+    def seed_items(self, origins: Sequence[int], items: Sequence[Any]) -> None:
+        """Place ``items[i]`` at node ``origins[i]`` (same seeding rule
+        as the engine)."""
+        if len(origins) != len(items):
+            raise ValidationError(
+                f"need one origin per item: got {len(origins)} origins "
+                f"for {len(items)} items"
+            )
+        targets = [int(origin) for origin in origins]
+        if any(not 0 <= target < self.num_users for target in targets):
+            raise ValidationError("token origins out of range")
         if any(node.held or node.inbox for node in self.nodes.values()):
             if self.round_index != self._campaign_start_round:
                 raise SimulationError(
@@ -196,10 +205,10 @@ class ReferenceNetwork:
                 )
         else:
             self._campaign_start_round = self.round_index
-        for node_id, items in items_per_node.items():
-            node = self.nodes[node_id]
-            node.held.extend(items)
-            node.meter.record_store(len(items))
+        for target, item in zip(targets, items):
+            node = self.nodes[target]
+            node.held.append(item)
+            node.meter.record_store()
 
     def set_graph(self, graph: Graph) -> None:
         """Rebind every node's neighbor list (consumes no randomness)."""

@@ -7,7 +7,7 @@ stay one-liners.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -90,3 +90,15 @@ def check_probability_vector(
     if abs(total - 1.0) > max(atol, atol * vector.size):
         raise ValidationError(f"{name} must sum to 1, got {total}")
     return vector
+
+
+def as_float_array(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a float64 array.
+
+    Arrays and sequences convert directly, so an allocation vector never
+    round-trips through a Python list; any other iterable (a generator,
+    say) is materialized as a list first.
+    """
+    if not isinstance(values, (np.ndarray, Sequence)):
+        values = list(values)
+    return np.asarray(values, dtype=np.float64)

@@ -267,6 +267,15 @@ class TestTheorem61Accounting:
             1.0, concentrated, DELTA
         ) > epsilon_from_report_sizes(1.0, uniform, DELTA)
 
+    def test_ndarray_list_and_generator_inputs_agree(self):
+        sizes = np.random.default_rng(0).multinomial(500, np.full(500, 1 / 500))
+        from_array = epsilon_from_report_sizes(1.0, sizes, DELTA)
+        assert isinstance(from_array, float)
+        assert epsilon_from_report_sizes(1.0, sizes.tolist(), DELTA) == from_array
+        assert epsilon_from_report_sizes(
+            1.0, (int(size) for size in sizes), DELTA
+        ) == from_array
+
     def test_rejects_wrong_sum(self):
         with pytest.raises(ValidationError):
             epsilon_from_report_sizes(1.0, [2, 2, 2], DELTA)

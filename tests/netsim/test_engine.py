@@ -64,7 +64,8 @@ def _paired_networks(graph, faults_factory, seed):
     nets = []
     for path in ALL_BACKENDS:
         network = _network(path, graph, faults=faults_factory(), rng=seed)
-        network.seed_items({i: [("r", i)] for i in range(graph.num_nodes)})
+        users = range(graph.num_nodes)
+        network.seed_items(users, [("r", i) for i in users])
         nets.append(network)
     return nets
 
@@ -185,7 +186,7 @@ class TestDistributionMatch:
         steps, start, samples = 4, 0, 4000
         exact = position_distribution(graph, start, steps)
         network = _network(backend, graph, rng=77)
-        network.seed_items({start: list(range(samples))})
+        network.seed_items([start] * samples, range(samples))
         _advance(network, backend, steps)
         empirical = network.held_counts() / samples
         # L1 (graph total variation) tolerance ~ O(sqrt(n / samples)).
@@ -259,7 +260,7 @@ class TestVectorizedEngineApi:
         """A second final delivery must deliver nothing (every path)."""
         for backend in ALL_BACKENDS:
             network = _network(backend, k4, rng=0)
-            network.seed_items({i: [f"p{i}"] for i in range(4)})
+            network.seed_items(range(4), [f"p{i}" for i in range(4)])
             _advance(network, backend, 2)
             network.deliver_to_server()
             network.deliver_to_server()
@@ -274,11 +275,11 @@ class TestVectorizedEngineApi:
             net = _network(
                 backend, graph, faults=IndependentDropout(0.3), rng=0
             )
-            net.seed_items({i: [i] for i in range(6)})
+            net.seed_items(range(6), range(6))
             _advance(net, backend, 3)
             net.deliver_to_server()
             net.run_exchange_round()
-            net.seed_items({i: [("n", i)] for i in range(6)})
+            net.seed_items(range(6), [("n", i) for i in range(6)])
             _advance(net, backend, 2)
             nets[backend] = net
         faithful = nets["faithful"]
@@ -301,10 +302,10 @@ class TestVectorizedEngineApi:
     def test_reseed_after_delivery_maps_new_payloads(self, k4):
         """A second campaign must not see the first campaign's payloads."""
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({i: [("first", i)] for i in range(4)})
+        network.seed_items(range(4), [("first", i) for i in range(4)])
         network.run_exchange(2)
         network.deliver_to_server()
-        network.seed_items({i: [("second", i)] for i in range(4)})
+        network.seed_items(range(4), [("second", i) for i in range(4)])
         network.run_exchange(2)
         flat = [p for held in network.drain_held() for p in held]
         assert len(flat) == 4
@@ -313,12 +314,22 @@ class TestVectorizedEngineApi:
     def test_rejected_seed_leaves_payload_mapping_intact(self, k4):
         """A failed seed must not orphan payloads (token-id alignment)."""
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({0: ["A"]})
+        network.seed_items([0], ["A"])
         with pytest.raises(ValidationError):
-            network.seed_items({99: ["B"]})
-        network.seed_items({1: ["C"]})
+            network.seed_items([99], ["B"])
+        network.seed_items([1], ["C"])
         flat = sorted(p for held in network.drain_held() for p in held)
         assert flat == ["A", "C"]
+
+    @pytest.mark.parametrize("backend", ("faithful", "vectorized"))
+    def test_seed_items_needs_one_origin_per_item(self, k4, backend):
+        network = _network(backend, k4, rng=0)
+        with pytest.raises(ValidationError):
+            network.seed_items([0, 1], ["A"])
+        with pytest.raises(ValidationError):
+            network.seed_items([4], ["A"])
+        network.seed_items(np.array([2, 2]), ("B", "C"))
+        assert network.drain_held() == [[], [], ["B", "C"], []]
 
     def test_mid_run_seeding_rejected(self, k4):
         """Interleaving seeds with rounds would break the RNG contract."""
@@ -333,14 +344,14 @@ class TestVectorizedEngineApi:
     def test_mid_run_seed_items_rejected_on_both_backends(self, k4, backend):
         """Every path enforces the seeding rule identically."""
         network = _network(backend, k4, rng=0)
-        network.seed_items({0: ["a"]})
-        network.seed_items({1: ["b"]})  # pre-run: allowed
+        network.seed_items([0], ["a"])
+        network.seed_items([1], ["b"])  # pre-run: allowed
         _advance(network, backend, 1)
         with pytest.raises(SimulationError):
-            network.seed_items({2: ["c"]})
+            network.seed_items([2], ["c"])
         # After the final delivery a fresh campaign may seed again.
         network.deliver_to_server()
-        network.seed_items({2: ["c"]})
+        network.seed_items([2], ["c"])
         network.run_exchange(1)
         assert network.held_counts().sum() == 1
 
@@ -361,7 +372,7 @@ class TestVectorizedEngineApi:
 
     def test_vector_meter_board_queries(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({i: [i] for i in range(4)})
+        network.seed_items(range(4), range(4))
         network.run_exchange(3)
         board = network.meters
         assert len(board) == 5  # four users + server
@@ -373,7 +384,7 @@ class TestVectorizedEngineApi:
 
     def test_deliver_with_selection_vectorized(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({i: [f"item-{i}"] for i in range(4)})
+        network.seed_items(range(4), [f"item-{i}" for i in range(4)])
         network.run_exchange(1)
         network.deliver_to_server(select=lambda node, held, rng: held[:1])
         assert len(network.server) <= 4
@@ -425,10 +436,10 @@ class TestDynamicScheduleEquivalence:
             net = _network(
                 backend, schedule, faults=IndependentDropout(0.2), rng=3
             )
-            net.seed_items({i: [("first", i)] for i in range(50)})
+            net.seed_items(range(50), [("first", i) for i in range(50)])
             _advance(net, backend, 2)    # stops on the swap boundary
             net.deliver_to_server()
-            net.seed_items({i: [("second", i)] for i in range(50)})
+            net.seed_items(range(50), [("second", i) for i in range(50)])
             _advance(net, backend, 4)    # crosses two more swaps
             nets[backend] = net
         faithful = nets["faithful"]
@@ -449,7 +460,8 @@ class TestDynamicScheduleEquivalence:
             DynamicGraphSchedule([small_regular]), rng=9
         )
         for net in (static, dynamic):
-            net.seed_items({i: [i] for i in range(small_regular.num_nodes)})
+            users = range(small_regular.num_nodes)
+            net.seed_items(users, users)
             net.run_exchange(6)
         np.testing.assert_array_equal(
             static.held_counts(), dynamic.held_counts()
@@ -504,7 +516,7 @@ class TestDynamicScheduleEquivalence:
         isolating = Graph(3, [(0, 2)])  # node 1 isolated
         schedule = DynamicGraphSchedule([path, isolating])
         network = _network(backend, schedule, rng=0)
-        network.seed_items({0: ["item"]})
+        network.seed_items([0], ["item"])
         _advance(network, backend, 1)  # node 0's only neighbor is 1
         np.testing.assert_array_equal(network.held_counts(), [0, 1, 0])
         with pytest.raises(SimulationError):

@@ -20,6 +20,7 @@ from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
+    grid_graph,
     random_regular_graph,
 )
 from repro.graphs.graph import Graph
@@ -120,6 +121,56 @@ class TestInterpretedLoopKernels:
 
     def test_warm_up_accepts_interpreted_kernels(self):
         kernels._warm_up(kernels._round_loop, kernels._rounds_loop)
+
+
+class TestLoopAndNumpyBodiesAtScale:
+    """The two bodies agree above 2**16 tokens, where a 16-bit key or
+    slot shortcut in the order step would wrap."""
+
+    TOKENS = 70_000
+
+    def _engines(self, graph, origins, faults_factory=None):
+        factory = faults_factory or NoFaults
+        engines = (
+            _numpy_engine(graph, 21, faults=factory()),
+            _interpreted_engine(graph, 21, faults=factory()),
+        )
+        for engine in engines:
+            engine.seed_tokens(origins)
+        return engines
+
+    @pytest.mark.parametrize("tokens_per_node", ["many", "one"])
+    def test_fused_span(self, tokens_per_node):
+        if tokens_per_node == "many":
+            graph = random_regular_graph(6, 1000, rng=3)
+            origins = np.random.default_rng(0).integers(
+                0, graph.num_nodes, self.TOKENS
+            )
+        else:
+            # 70 225 nodes: order keys exceed 2**32.
+            graph = grid_graph(265, 265, periodic=True)
+            origins = np.arange(graph.num_nodes)
+        numpy_bodies, loop_bodies = self._engines(graph, origins)
+        for engine in (numpy_bodies, loop_bodies):
+            engine.run(2)  # static + NoFaults: the fused kernel
+        np.testing.assert_array_equal(numpy_bodies._order, loop_bodies._order)
+        _assert_engines_identical(numpy_bodies, loop_bodies)
+
+    def test_per_round_dropout(self):
+        graph = random_regular_graph(6, 1000, rng=4)
+        origins = np.random.default_rng(1).integers(
+            0, graph.num_nodes, self.TOKENS
+        )
+        numpy_bodies, loop_bodies = self._engines(
+            graph, origins, lambda: IndependentDropout(0.3)
+        )
+        for _ in range(2):
+            numpy_bodies.run_round()
+            loop_bodies.run_round()
+            np.testing.assert_array_equal(
+                numpy_bodies._order, loop_bodies._order
+            )
+        _assert_engines_identical(numpy_bodies, loop_bodies)
 
 
 class TestCompiledEngine:

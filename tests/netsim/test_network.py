@@ -61,18 +61,19 @@ class TestMeterBoard:
 class TestRoundBasedNetwork:
     def test_seed_and_count(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({0: ["a"], 1: ["b", "c"]})
+        network.seed_items([0, 1, 1], ["a", "b", "c"])
         np.testing.assert_array_equal(network.held_counts(), [1, 2, 0, 0])
 
     def test_exchange_conserves_items(self, small_regular):
         network = RoundBasedNetwork(small_regular, rng=0)
-        network.seed_items({i: [i] for i in range(small_regular.num_nodes)})
+        users = range(small_regular.num_nodes)
+        network.seed_items(users, users)
         network.run_exchange(10)
         assert network.held_counts().sum() == small_regular.num_nodes
 
     def test_items_move_each_round(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({0: ["token"]})
+        network.seed_items([0], ["token"])
         network.run_exchange_round()
         counts = network.held_counts()
         assert counts[0] == 0
@@ -90,7 +91,7 @@ class TestRoundBasedNetwork:
 
     def test_deliver_all_to_server(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({i: [f"item-{i}"] for i in range(4)})
+        network.seed_items(range(4), [f"item-{i}" for i in range(4)])
         network.run_exchange(2)
         network.deliver_to_server()
         assert len(network.server) == 4
@@ -98,21 +99,21 @@ class TestRoundBasedNetwork:
 
     def test_deliver_with_selection(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({i: [f"item-{i}"] for i in range(4)})
+        network.seed_items(range(4), [f"item-{i}" for i in range(4)])
         network.run_exchange(1)
         network.deliver_to_server(select=lambda node, held, rng: held[:1])
         assert len(network.server) <= 4
 
     def test_server_records_sender(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({0: ["x"]})
+        network.seed_items([0], ["x"])
         network.deliver_to_server()
         assert network.server.delivered_by == [0]
         assert network.server.reports == ["x"]
 
     def test_reports_by_sender(self, k4):
         network = RoundBasedNetwork(k4, rng=0)
-        network.seed_items({1: ["a", "b"]})
+        network.seed_items([1, 1], ["a", "b"])
         network.deliver_to_server()
         grouped = network.server.reports_by_sender()
         assert grouped == {1: ["a", "b"]}
@@ -144,7 +145,8 @@ class TestFaultModels:
         network = RoundBasedNetwork(
             small_regular, faults=IndependentDropout(1.0), rng=0
         )
-        network.seed_items({i: [i] for i in range(small_regular.num_nodes)})
+        users = range(small_regular.num_nodes)
+        network.seed_items(users, users)
         network.run_exchange(5)
         counts = network.held_counts()
         np.testing.assert_array_equal(counts, np.ones(small_regular.num_nodes))
