@@ -18,30 +18,23 @@ Quick start — the declarative Scenario API::
     result = run(scenario)                  # simulate + account in one call
     print(result.central_epsilon)           # amplified central epsilon
 
-or imperatively, via the :class:`NetworkShuffler` facade::
-
-    from repro import NetworkShuffler
-    from repro.graphs import random_regular_graph
-    from repro.ldp import BinaryRandomizedResponse
-
-    graph = random_regular_graph(8, 1000, rng=0)
-    shuffler = NetworkShuffler(graph, epsilon0=1.0, delta=1e-6)
-    print(shuffler.central_guarantee())     # amplified central epsilon
-    result = shuffler.run([0, 1] * 500, BinaryRandomizedResponse(1.0), rng=1)
+``bound(scenario)`` prices a scenario without simulating, ``audit``
+measures it empirically, and :class:`PrivacyAccountant` composes the
+guarantees of repeated collections against a budget.
 
 Package map:
 
 ========================  ==============================================
-``repro.core``            NetworkShuffler facade, privacy accountant
 ``repro.graphs``          graph substrate, spectra, random walks
 ``repro.datasets``        calibrated Table 4 stand-in graphs
 ``repro.ldp``             local randomizers (RR, Laplace, PrivUnit, ...)
-``repro.amplification``   Theorems 5.3-5.6 + baseline bounds
+``repro.amplification``   Theorems 5.3-5.6, baseline bounds, composition
+                          and the privacy accountant
 ``repro.protocols``       Algorithms 1-3 + secure (encrypted) variant
 ``repro.netsim``          metered round-based network simulator
 ``repro.crypto``          simulation-grade PKI / double envelope
 ``repro.baselines``       Prochlo & mix-net simulators, central DP
-``repro.estimation``      private mean / frequency estimation
+``repro.estimation``      server-side mean / histogram estimators
 ``repro.experiments``     one module per paper table & figure
 ``repro.scenario``        declarative Scenario API: run / sweep / bound
 ``repro.api``             the documented stable facade for programmatic
@@ -55,9 +48,8 @@ Package map:
 ========================  ==============================================
 """
 
+from repro.amplification.composition import PrivacyAccountant
 from repro.auditing.auditor import AuditResult
-from repro.core.accounting import PrivacyAccountant
-from repro.core.shuffler import NetworkShuffler
 from repro.exceptions import ReproError
 from repro.scenario import (
     PointFailure,
@@ -76,7 +68,6 @@ __version__ = "1.6.0"
 
 __all__ = [
     "AuditResult",
-    "NetworkShuffler",
     "PrivacyAccountant",
     "PointFailure",
     "ReproError",

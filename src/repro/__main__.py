@@ -141,14 +141,32 @@ def _experiments(arguments: list[str]) -> None:
 
 
 def _plan(arguments: list[str]) -> None:
-    from repro.amplification.planning import required_epsilon0
-    from repro.core.config import DEFAULT_CONFIG
+    import math
 
+    from repro.amplification.network_shuffle import DEFAULT_DELTA
+    from repro.amplification.planning import required_epsilon0
+
+    usage = "usage: python -m repro plan <n> <target_eps>"
     if len(arguments) != 2:
-        raise SystemExit("usage: python -m repro plan <n> <target_eps>")
-    n = int(arguments[0])
-    target = float(arguments[1])
-    delta = DEFAULT_CONFIG.delta
+        raise SystemExit(usage)
+    try:
+        n = int(arguments[0])
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise SystemExit(
+            f"{usage}: n must be a positive integer, got {arguments[0]!r}"
+        )
+    try:
+        target = float(arguments[1])
+    except ValueError:
+        target = math.nan
+    if not (math.isfinite(target) and target > 0.0):
+        raise SystemExit(
+            f"{usage}: target_eps must be a positive finite number, "
+            f"got {arguments[1]!r}"
+        )
+    delta = DEFAULT_DELTA
     sum_squared = 1.0 / n
     print(f"planning for n={n}, target central eps={target}, delta={delta}")
     print("(regular communication graph, Gamma = 1, at the mixing time)")

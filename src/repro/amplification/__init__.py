@@ -21,10 +21,13 @@ Baselines (Table 1):
 Composition:
 
 * :func:`heterogeneous_advanced_composition` — Kairouz-Oh-Viswanath
-  (Equation 6 of the paper) plus basic/advanced composition helpers.
+  (Equation 6 of the paper) plus basic/advanced composition helpers;
+* :class:`PrivacyAccountant` — tracks repeated collections against a
+  total ``(eps, delta)`` budget under basic or advanced composition.
 """
 
 from repro.amplification.composition import (
+    PrivacyAccountant,
     advanced_composition,
     basic_composition,
     heterogeneous_advanced_composition,
@@ -62,6 +65,7 @@ from repro.amplification.uniform_shuffle import (
 )
 
 __all__ = [
+    "PrivacyAccountant",
     "advanced_composition",
     "basic_composition",
     "heterogeneous_advanced_composition",

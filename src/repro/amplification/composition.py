@@ -8,16 +8,19 @@ Kairouz, Oh & Viswanath (2017), quoted as Equation 6 of the paper:
           + sqrt(2 log(1/delta) sum_i eps_i^2).
 
 Basic and (homogeneous) advanced composition are included for tests and
-for the accountant in :mod:`repro.core.accounting`.
+for :class:`PrivacyAccountant`, which composes the ``(eps, delta)`` of
+repeated collections against a total budget.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from repro.exceptions import BudgetExceededError, InvalidPrivacyParameterError
 from repro.utils.validation import as_float_array, check_delta, check_epsilon
 
 
@@ -78,3 +81,97 @@ def heterogeneous_advanced_composition(
     linear = float(np.sum(expm1_terms * eps_array / (expm1_terms + 2.0)))
     quadratic = math.sqrt(2.0 * math.log(1.0 / delta) * float(np.sum(eps_array**2)))
     return linear + quadratic
+
+
+@dataclass
+class PrivacyAccountant:
+    """Tracks cumulative privacy loss against a total budget.
+
+    Network shuffling, like any DP mechanism, composes across repeated
+    runs (e.g. a daily telemetry collection): record each collection's
+    central ``(eps, delta)`` — :func:`repro.bound` prices one — and ask
+    what is left.
+
+    Parameters
+    ----------
+    epsilon_budget, delta_budget:
+        The total central-DP budget.
+    composition:
+        ``"basic"`` (parameters add) or ``"advanced"`` (Kairouz-Oh-
+        Viswanath across the recorded epsilons; spends an extra
+        ``advanced_delta`` slack).
+    advanced_delta:
+        The composition-slack delta consumed by advanced composition;
+        must lie in ``(0, 1)`` and, under advanced composition, below
+        ``delta_budget``.
+    """
+
+    epsilon_budget: float
+    delta_budget: float
+    composition: str = "basic"
+    advanced_delta: float = 1e-9
+    _spent: List[Tuple[float, float]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        check_epsilon(self.epsilon_budget, "epsilon_budget")
+        check_delta(self.delta_budget, "delta_budget", allow_zero=True)
+        if self.composition not in ("basic", "advanced"):
+            raise ValueError(
+                f"composition must be 'basic' or 'advanced', "
+                f"got {self.composition!r}"
+            )
+        check_delta(self.advanced_delta, "advanced_delta")
+        if (
+            self.composition == "advanced"
+            and self.advanced_delta >= self.delta_budget
+        ):
+            raise InvalidPrivacyParameterError(
+                f"advanced_delta ({self.advanced_delta}) must be below "
+                f"delta_budget ({self.delta_budget}): advanced composition "
+                "spends it on every record"
+            )
+
+    @property
+    def num_recorded(self) -> int:
+        """Number of recorded mechanism invocations."""
+        return len(self._spent)
+
+    def _compose(self, spent: List[Tuple[float, float]]) -> Tuple[float, float]:
+        if not spent:
+            return (0.0, 0.0)
+        epsilons = [eps for eps, _ in spent]
+        deltas = [delta for _, delta in spent]
+        if self.composition == "basic":
+            return basic_composition(epsilons, deltas)
+        eps = heterogeneous_advanced_composition(epsilons, self.advanced_delta)
+        return (eps, sum(deltas) + self.advanced_delta)
+
+    def spent(self) -> Tuple[float, float]:
+        """Cumulative ``(eps, delta)`` under the configured composition."""
+        return self._compose(self._spent)
+
+    def remaining(self) -> Tuple[float, float]:
+        """Budget minus spend (floored at zero)."""
+        eps, delta = self.spent()
+        return (
+            max(0.0, self.epsilon_budget - eps),
+            max(0.0, self.delta_budget - delta),
+        )
+
+    def can_afford(self, epsilon: float, delta: float) -> bool:
+        """Whether recording ``(epsilon, delta)`` would stay in budget."""
+        eps, total_delta = self._compose(self._spent + [(epsilon, delta)])
+        return eps <= self.epsilon_budget and total_delta <= self.delta_budget
+
+    def record(self, epsilon: float, delta: float) -> None:
+        """Record one mechanism invocation, enforcing the budget."""
+        check_epsilon(epsilon, allow_zero=True)
+        check_delta(delta, allow_zero=True)
+        if not self.can_afford(epsilon, delta):
+            eps_spent, delta_spent = self.spent()
+            raise BudgetExceededError(
+                f"recording (eps={epsilon}, delta={delta}) exceeds budget: "
+                f"spent ({eps_spent:.4f}, {delta_spent:.2e}) of "
+                f"({self.epsilon_budget}, {self.delta_budget})"
+            )
+        self._spent.append((float(epsilon), float(delta)))

@@ -53,6 +53,13 @@ from repro.utils.validation import (
 #: approximate-DP randomizer into a pure-DP "clone".
 _CLONE_FACTOR = 8.0
 
+#: The library's default central ``delta`` (and Lemma 5.1 ``delta2``).
+#: The paper does not print its delta choices; ``1e-6`` sits comfortably
+#: below ``1/n`` for every evaluated graph, the paper's stated
+#: requirement.  Scenarios, the auditor, ``python -m repro plan`` and
+#: the experiment config all default to it.
+DEFAULT_DELTA = 1e-6
+
 
 # ----------------------------------------------------------------------
 # Shared ingredients

@@ -73,7 +73,7 @@ from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.config import DEFAULT_CONFIG
+from repro.amplification.network_shuffle import DEFAULT_DELTA
 from repro.exceptions import ValidationError
 from repro.graphs.dynamic import (
     DynamicGraphSchedule,
@@ -669,7 +669,7 @@ def audit_network_shuffle(
     rounds: int,
     *,
     trials: int = 2000,
-    delta: float = DEFAULT_CONFIG.delta,
+    delta: float = DEFAULT_DELTA,
     laziness: float = 0.0,
     victim: int = 0,
     statistic: Optional[AuditStatistic] = None,

@@ -1,9 +1,14 @@
 """Utility/estimation layer: what the server computes from the reports.
 
-* :mod:`repro.estimation.mean` — private mean estimation with PrivUnit,
-  the Figure 9 privacy-utility experiment;
-* :mod:`repro.estimation.frequency` — private frequency estimation with
-  k-ary randomized response over network shuffling;
+The workloads themselves run as scenarios (``repro.run``); this package
+holds the server side and the workload data:
+
+* :mod:`repro.estimation.mean` — the Figure 9 population
+  (:func:`generate_bimodal_unit_vectors`), the PrivUnit dummy factory
+  and the server's mean estimator :func:`mean_estimate_from_run`;
+* :mod:`repro.estimation.frequency` — :func:`correct_for_dummies`, the
+  ``A_single`` correction applied after ``KaryRandomizedResponse.
+  estimate_frequencies``;
 * :mod:`repro.estimation.metrics` — error metrics.
 """
 
@@ -12,14 +17,9 @@ from repro.estimation.mean import (
     MeanEstimationResult,
     generate_bimodal_unit_vectors,
     make_dummy_factory,
-    run_mean_estimation,
     true_mean,
 )
-from repro.estimation.frequency import (
-    FrequencyEstimationResult,
-    correct_for_dummies,
-    run_frequency_estimation,
-)
+from repro.estimation.frequency import correct_for_dummies
 from repro.estimation.metrics import (
     max_absolute_error,
     mean_squared_error,
@@ -31,11 +31,8 @@ __all__ = [
     "generate_bimodal_unit_vectors",
     "make_dummy_factory",
     "mean_estimate_from_run",
-    "run_mean_estimation",
     "true_mean",
-    "FrequencyEstimationResult",
     "correct_for_dummies",
-    "run_frequency_estimation",
     "max_absolute_error",
     "mean_squared_error",
     "squared_l2_error",

@@ -3,35 +3,19 @@
 The "messaging-app analytics" workload from the paper's motivation:
 every user holds a categorical value (e.g. a setting or answer), applies
 k-ary randomized response, the reports mix over the social graph, and
-the untrusted server reconstructs the population histogram.
+the untrusted server reconstructs the population histogram.  A scenario
+with mechanism ``kary_rr`` and ``choice`` values runs the workload
+(``repro.run``); the server inverts the channel with
+:meth:`~repro.ldp.randomized_response.KaryRandomizedResponse.
+estimate_frequencies` on the delivered payloads, and for ``A_single``
+removes the dummy bias with :func:`correct_for_dummies`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from repro.estimation.metrics import max_absolute_error
 from repro.exceptions import ValidationError
-from repro.graphs.graph import Graph
-from repro.ldp.randomized_response import KaryRandomizedResponse
-from repro.protocols.all_protocol import run_all_protocol
-from repro.protocols.single_protocol import run_single_protocol
-from repro.utils.rng import RngLike, ensure_rng
-
-
-@dataclass(frozen=True)
-class FrequencyEstimationResult:
-    """Outcome of one private frequency-estimation run."""
-
-    protocol: str
-    epsilon0: float
-    estimate: np.ndarray
-    truth: np.ndarray
-    max_error: float
-    dummy_count: int
 
 
 def correct_for_dummies(
@@ -54,68 +38,3 @@ def correct_for_dummies(
     corrected = raw_estimate.copy()
     corrected[0] -= dummy_fraction
     return corrected / (1.0 - dummy_fraction)
-
-
-def run_frequency_estimation(
-    graph: Graph,
-    symbols: np.ndarray,
-    epsilon0: float,
-    num_symbols: int,
-    *,
-    protocol: str = "all",
-    rounds: Optional[int] = None,
-    rng: RngLike = None,
-) -> FrequencyEstimationResult:
-    """End-to-end private histogram over network shuffling.
-
-    ``A_single`` dummies are ``A_ldp(0)`` per Algorithm 2 — randomized-
-    response applied to symbol 0 — so the dummy contribution is itself
-    mostly noise; the estimator subtracts the RR bias as usual.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    if symbols.ndim != 1 or symbols.size != graph.num_nodes:
-        raise ValidationError(
-            f"need one symbol per node: {symbols.size} symbols for "
-            f"{graph.num_nodes} nodes"
-        )
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= num_symbols):
-        raise ValidationError("symbols out of range")
-    generator = ensure_rng(rng)
-    if rounds is None:
-        from repro.graphs.spectral import mixing_time
-
-        rounds = mixing_time(graph)
-
-    randomizer = KaryRandomizedResponse(epsilon0, num_symbols)
-    randomized = randomizer.randomize_batch(symbols, generator)
-    truth = np.bincount(symbols, minlength=num_symbols) / symbols.size
-
-    if protocol == "all":
-        result = run_all_protocol(
-            graph, rounds, values=list(randomized), rng=generator
-        )
-        dummy_count = 0
-    elif protocol == "single":
-        result = run_single_protocol(
-            graph,
-            rounds,
-            values=list(randomized),
-            dummy_factory=lambda g: randomizer.randomize(0, g),
-            rng=generator,
-        )
-        dummy_count = result.dummy_count
-    else:
-        raise ValidationError(f"unknown protocol {protocol!r}")
-
-    payloads = np.asarray(result.payloads(), dtype=np.int64)
-    estimate = randomizer.estimate_frequencies(payloads)
-    if protocol == "single" and dummy_count:
-        estimate = correct_for_dummies(estimate, dummy_count / symbols.size)
-    return FrequencyEstimationResult(
-        protocol=protocol,
-        epsilon0=epsilon0,
-        estimate=estimate,
-        truth=truth,
-        max_error=max_absolute_error(estimate, truth),
-        dummy_count=dummy_count,
-    )

@@ -16,21 +16,22 @@ network shuffling, and the server averages the debiased reports.
   walk's picks are impossible but *missing* reports are replaced by
   dummies, which both biases the estimate and discards signal — the
   utility penalty Figure 9 quantifies.
+
+A scenario with mechanism ``privunit``, ``bimodal_unit_vectors`` values
+and (for ``A_single``) ``privunit_normal`` dummies runs the workload
+through ``repro.run``; :func:`mean_estimate_from_run` is the server's
+estimator on the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.estimation.metrics import squared_l2_error
-from repro.exceptions import ValidationError
-from repro.graphs.graph import Graph
 from repro.ldp.privunit import PrivUnit
-from repro.protocols.all_protocol import run_all_protocol
-from repro.protocols.single_protocol import run_single_protocol
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int
 
@@ -119,79 +120,3 @@ class MeanEstimationResult:
     squared_error: float
     dummy_count: int
     num_reports: int
-
-
-def run_mean_estimation(
-    graph: Graph,
-    values: np.ndarray,
-    epsilon0: float,
-    *,
-    protocol: str = "all",
-    rounds: Optional[int] = None,
-    rng: RngLike = None,
-) -> MeanEstimationResult:
-    """End-to-end private mean estimation over network shuffling.
-
-    Parameters
-    ----------
-    graph:
-        Communication graph with one node per row of ``values``.
-    values:
-        ``(n, d)`` unit vectors.
-    epsilon0:
-        PrivUnit local budget.
-    protocol:
-        ``"all"`` or ``"single"``.
-    rounds:
-        Exchange rounds; defaults to the graph's mixing time.
-    rng:
-        Seed or generator.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValidationError("values must be an (n, d) matrix")
-    if values.shape[0] != graph.num_nodes:
-        raise ValidationError(
-            f"need one value per node: {values.shape[0]} values for "
-            f"{graph.num_nodes} nodes"
-        )
-    generator = ensure_rng(rng)
-    if rounds is None:
-        from repro.graphs.spectral import mixing_time
-
-        rounds = mixing_time(graph)
-
-    randomizer = PrivUnit(epsilon0, values.shape[1])
-    reports = randomizer.randomize_batch(values, generator)
-    truth = true_mean(values)
-
-    if protocol == "all":
-        result = run_all_protocol(
-            graph, rounds, values=list(reports), rng=generator
-        )
-        payloads = np.asarray(result.payloads(), dtype=np.float64)
-        dummy_count = 0
-    elif protocol == "single":
-        dummy_factory = make_dummy_factory(randomizer)
-        result = run_single_protocol(
-            graph,
-            rounds,
-            values=list(reports),
-            dummy_factory=dummy_factory,
-            rng=generator,
-        )
-        payloads = np.asarray(result.payloads(), dtype=np.float64)
-        dummy_count = result.dummy_count
-    else:
-        raise ValidationError(f"unknown protocol {protocol!r}")
-
-    estimate = payloads.mean(axis=0)
-    return MeanEstimationResult(
-        protocol=protocol,
-        epsilon0=epsilon0,
-        estimate=estimate,
-        truth=truth,
-        squared_error=squared_l2_error(estimate, truth),
-        dummy_count=dummy_count,
-        num_reports=payloads.shape[0],
-    )

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.core.config import DEFAULT_CONFIG
+from repro.amplification.network_shuffle import DEFAULT_DELTA
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_delta, check_epsilon, check_probability
 
@@ -317,8 +317,8 @@ class Scenario:
     audit: Optional[AuditSpec] = None
     epsilon0: Optional[float] = None
     truncation: Optional[float] = None
-    delta: float = DEFAULT_CONFIG.delta
-    delta2: float = DEFAULT_CONFIG.delta2
+    delta: float = DEFAULT_DELTA
+    delta2: float = DEFAULT_DELTA
     seed: int = 0
 
     def __post_init__(self) -> None:

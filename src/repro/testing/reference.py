@@ -49,6 +49,7 @@ from typing import (
 
 import numpy as np
 
+from repro.amplification.network_shuffle import DEFAULT_DELTA
 from repro.auditing.auditor import (
     AuditResult,
     AuditStatistic,
@@ -56,7 +57,6 @@ from repro.auditing.auditor import (
     epsilon_lower_bound,
     weighted_evidence_statistic,
 )
-from repro.core.config import DEFAULT_CONFIG
 from repro.crypto.elgamal import Ciphertext
 from repro.crypto.envelope import (
     Envelope,
@@ -360,7 +360,7 @@ def looped_audit(
     rounds: int,
     *,
     trials: int = 2000,
-    delta: float = DEFAULT_CONFIG.delta,
+    delta: float = DEFAULT_DELTA,
     laziness: float = 0.0,
     rng: RngLike = None,
 ) -> AuditResult:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.accounting import PrivacyAccountant
-from repro.exceptions import BudgetExceededError
+from repro.amplification.composition import PrivacyAccountant
+from repro.exceptions import BudgetExceededError, InvalidPrivacyParameterError
 
 
 class TestBasicAccounting:
@@ -74,3 +74,22 @@ class TestAdvancedAccounting:
     def test_rejects_bad_budget(self):
         with pytest.raises(Exception):
             PrivacyAccountant(-1.0, 1e-5)
+
+    @pytest.mark.parametrize("composition", ["basic", "advanced"])
+    @pytest.mark.parametrize("slack", [0.0, float("nan"), 1.0])
+    def test_rejects_unusable_advanced_delta(self, composition, slack):
+        with pytest.raises(InvalidPrivacyParameterError, match="advanced_delta"):
+            PrivacyAccountant(
+                10.0, 1e-2, composition=composition, advanced_delta=slack
+            )
+
+    @pytest.mark.parametrize("slack", [1e-2, 5e-2])
+    def test_rejects_advanced_delta_not_below_delta_budget(self, slack):
+        """Advanced composition spends the slack on every record, so a
+        slack that fills the delta budget could never record anything."""
+        with pytest.raises(InvalidPrivacyParameterError, match="advanced_delta"):
+            PrivacyAccountant(
+                10.0, 1e-2, composition="advanced", advanced_delta=slack
+            )
+        # Basic composition never spends the slack.
+        PrivacyAccountant(10.0, 1e-2, composition="basic", advanced_delta=slack)

@@ -39,16 +39,31 @@ class TestCorrectForDummies:
     def test_end_to_end_improves_estimate(self):
         """On a real A_single run the corrected histogram beats the
         uncorrected one (regression test for the survey example)."""
-        from repro.estimation.frequency import run_frequency_estimation
-        from repro.graphs.generators import random_regular_graph
+        from repro import Scenario, run
+        from repro.estimation.metrics import max_absolute_error
 
-        graph = random_regular_graph(6, 600, rng=0)
-        rng = np.random.default_rng(1)
-        symbols = rng.choice(4, size=600, p=[0.4, 0.3, 0.2, 0.1])
-        result = run_frequency_estimation(
-            graph, symbols, 3.0, 4, protocol="single", rounds=25, rng=2
+        result = run(Scenario(
+            graph={"kind": "k_regular",
+                   "params": {"degree": 6, "num_nodes": 600}},
+            mechanism={"kind": "kary_rr",
+                       "params": {"epsilon": 3.0, "num_symbols": 4}},
+            values={"kind": "choice", "params": {
+                "num_options": 4, "probabilities": [0.4, 0.3, 0.2, 0.1]}},
+            dummies={"kind": "mechanism_zero"},
+            protocol="single",
+            rounds=25,
+            seed=2,
+        ))
+        raw = result.mechanism.estimate_frequencies(
+            np.asarray(result.payloads(), dtype=np.int64)
         )
-        # The corrected estimate (built in) lands near the truth even
-        # though ~1/e of reports were dummies at symbol 0.
-        assert result.dummy_count > 100
-        assert result.max_error < 0.12
+        dummies = result.protocol_result.dummy_count
+        corrected = correct_for_dummies(raw, dummies / 600)
+        truth = np.bincount(result.values, minlength=4) / 600
+        # The corrected estimate lands near the truth even though ~1/e
+        # of reports were dummies at symbol 0.
+        assert dummies > 100
+        assert max_absolute_error(corrected, truth) < 0.12
+        assert max_absolute_error(corrected, truth) < max_absolute_error(
+            raw, truth
+        )

@@ -1,15 +1,22 @@
-"""Tests for the estimation layer (mean / frequency / metrics)."""
+"""Tests for the estimation layer (mean / frequency / metrics).
+
+The workloads run as scenarios through ``repro.run``; the server side is
+:func:`mean_estimate_from_run` for PrivUnit vectors, and
+``KaryRandomizedResponse.estimate_frequencies`` plus
+:func:`correct_for_dummies` for histograms.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.estimation.frequency import run_frequency_estimation
+from repro import Scenario, run
+from repro.estimation.frequency import correct_for_dummies
 from repro.estimation.mean import (
     generate_bimodal_unit_vectors,
     make_dummy_factory,
-    run_mean_estimation,
+    mean_estimate_from_run,
     true_mean,
 )
 from repro.estimation.metrics import (
@@ -18,7 +25,6 @@ from repro.estimation.metrics import (
     squared_l2_error,
 )
 from repro.exceptions import ValidationError
-from repro.graphs.generators import random_regular_graph
 from repro.ldp.privunit import PrivUnit
 
 
@@ -76,119 +82,117 @@ class TestDummyFactory:
         )
 
 
-class TestMeanEstimation:
-    @pytest.fixture
-    def setup(self):
-        graph = random_regular_graph(6, 300, rng=0)
-        values = generate_bimodal_unit_vectors(300, 30, rng=1)
-        return graph, values
+def _mean_run(epsilon0, protocol, rounds, seed, *, num_users=300):
+    """Figure 9's workload on a 6-regular graph, d = 30."""
+    return mean_estimate_from_run(run(Scenario(
+        graph={"kind": "k_regular",
+               "params": {"degree": 6, "num_nodes": num_users}},
+        mechanism={"kind": "privunit",
+                   "params": {"epsilon": epsilon0, "dimension": 30}},
+        values={"kind": "bimodal_unit_vectors", "params": {"dimension": 30}},
+        dummies={"kind": "privunit_normal"},
+        protocol=protocol,
+        rounds=rounds,
+        seed=seed,
+    )))
 
-    def test_all_protocol_reasonable_error(self, setup):
-        graph, values = setup
-        result = run_mean_estimation(
-            graph, values, 4.0, protocol="all", rounds=20, rng=2
-        )
+
+def _frequency_run(epsilon0, protocol, rounds, seed, *, num_users=400,
+                  probabilities=None):
+    """K-ary RR histogram over a 6-regular graph: ``(estimate, truth)``.
+
+    The server inverts the RR channel on the delivered payloads and, for
+    ``A_single``, removes the ``A_ldp(0)`` dummy spike.
+    """
+    result = run(Scenario(
+        graph={"kind": "k_regular",
+               "params": {"degree": 6, "num_nodes": num_users}},
+        mechanism={"kind": "kary_rr",
+                   "params": {"epsilon": epsilon0, "num_symbols": 4}},
+        values={"kind": "choice", "params": {
+            "num_options": 4, "probabilities": probabilities}},
+        dummies={"kind": "mechanism_zero"},
+        protocol=protocol,
+        rounds=rounds,
+        seed=seed,
+    ))
+    payloads = np.asarray(result.payloads(), dtype=np.int64)
+    estimate = result.mechanism.estimate_frequencies(payloads)
+    dummies = result.protocol_result.dummy_count
+    if dummies:
+        estimate = correct_for_dummies(estimate, dummies / num_users)
+    truth = np.bincount(result.values, minlength=4) / num_users
+    return estimate, truth, dummies
+
+
+class TestMeanEstimation:
+    def test_all_protocol_reasonable_error(self):
+        result = _mean_run(4.0, "all", rounds=20, seed=2)
         assert result.protocol == "all"
         assert result.dummy_count == 0
         assert result.num_reports == 300
         assert result.squared_error < 1.0
 
-    def test_single_protocol_has_dummies(self, setup):
-        graph, values = setup
-        result = run_mean_estimation(
-            graph, values, 4.0, protocol="single", rounds=20, rng=2
-        )
+    def test_single_protocol_has_dummies(self):
+        result = _mean_run(4.0, "single", rounds=20, seed=2)
+        assert result.protocol == "single"
         assert result.dummy_count > 0
         assert result.num_reports == 300
 
-    def test_error_decreases_with_epsilon(self, setup):
-        graph, values = setup
-        noisy = run_mean_estimation(
-            graph, values, 1.0, protocol="all", rounds=10, rng=2
-        )
-        precise = run_mean_estimation(
-            graph, values, 6.0, protocol="all", rounds=10, rng=2
-        )
+    def test_error_decreases_with_epsilon(self):
+        noisy = _mean_run(1.0, "all", rounds=10, seed=2)
+        precise = _mean_run(6.0, "all", rounds=10, seed=2)
         assert precise.squared_error < noisy.squared_error
 
-    def test_all_beats_single_at_same_eps0(self, setup):
+    def test_all_beats_single_at_same_eps0(self):
         """At equal eps0 A_single pays the dummy-bias penalty on top of
         the same per-report noise.  High eps0 shrinks the shared noise
-        so the penalty dominates; the comparison is seed-paired to cut
-        Monte-Carlo variance."""
-        graph, values = setup
-        differences = []
-        for seed in range(8):
-            error_all = run_mean_estimation(
-                graph, values, 6.0, protocol="all", rounds=15, rng=seed
-            ).squared_error
-            error_single = run_mean_estimation(
-                graph, values, 6.0, protocol="single", rounds=15, rng=seed
-            ).squared_error
-            differences.append(error_single - error_all)
+        so the penalty dominates; the comparison is seed-paired (same
+        graph, population and reports per seed) to cut Monte-Carlo
+        variance.  The penalty (~3e-3 in squared error) does not shrink
+        with n while the noise does: at 1000 users the mean over 8
+        seeds sits about four standard errors above zero."""
+        differences = [
+            _mean_run(6.0, "single", rounds=15, seed=seed,
+                      num_users=1000).squared_error
+            - _mean_run(6.0, "all", rounds=15, seed=seed,
+                        num_users=1000).squared_error
+            for seed in range(8)
+        ]
         assert np.mean(differences) > 0.0
-
-    def test_default_rounds_is_mixing_time(self, setup):
-        graph, values = setup
-        result = run_mean_estimation(graph, values, 3.0, rng=0)
-        assert result.squared_error >= 0.0
-
-    def test_rejects_bad_protocol(self, setup):
-        graph, values = setup
-        with pytest.raises(ValidationError):
-            run_mean_estimation(graph, values, 1.0, protocol="half", rng=0)
-
-    def test_rejects_value_count_mismatch(self, setup):
-        graph, _ = setup
-        with pytest.raises(ValidationError):
-            run_mean_estimation(graph, np.zeros((5, 3)), 1.0, rng=0)
 
 
 class TestFrequencyEstimation:
-    @pytest.fixture
-    def setup(self):
-        graph = random_regular_graph(6, 400, rng=0)
-        symbols = np.arange(400) % 4
-        return graph, symbols
+    def test_estimates_frequencies(self):
+        estimate, truth, dummies = _frequency_run(3.0, "all", rounds=15, seed=1)
+        assert dummies == 0
+        np.testing.assert_allclose(truth.sum(), 1.0)
+        assert max_absolute_error(estimate, truth) < 0.15
 
-    def test_estimates_frequencies(self, setup):
-        graph, symbols = setup
-        result = run_frequency_estimation(
-            graph, symbols, 3.0, 4, rounds=15, rng=1
-        )
-        np.testing.assert_allclose(result.truth, 0.25)
-        assert result.max_error < 0.15
+    def test_single_protocol_runs(self):
+        estimate, _, dummies = _frequency_run(3.0, "single", rounds=15, seed=1)
+        assert dummies > 0
+        assert estimate.shape == (4,)
 
-    def test_single_protocol_runs(self, setup):
-        graph, symbols = setup
-        result = run_frequency_estimation(
-            graph, symbols, 3.0, 4, protocol="single", rounds=15, rng=1
-        )
-        assert result.dummy_count > 0
-        assert result.estimate.shape == (4,)
+    def test_more_budget_less_error(self):
+        def error(epsilon0, seed):
+            estimate, truth, _ = _frequency_run(
+                epsilon0, "all", rounds=10, seed=seed
+            )
+            return max_absolute_error(estimate, truth)
 
-    def test_more_budget_less_error(self, setup):
-        graph, symbols = setup
-        noisy = np.mean([
-            run_frequency_estimation(
-                graph, symbols, 0.5, 4, rounds=10, rng=s
-            ).max_error
-            for s in range(5)
-        ])
-        precise = np.mean([
-            run_frequency_estimation(
-                graph, symbols, 5.0, 4, rounds=10, rng=s
-            ).max_error
-            for s in range(5)
-        ])
+        noisy = np.mean([error(0.5, seed) for seed in range(5)])
+        precise = np.mean([error(5.0, seed) for seed in range(5)])
         assert precise < noisy
 
-    def test_rejects_out_of_range_symbols(self, setup):
-        graph, symbols = setup
-        with pytest.raises(ValidationError):
-            run_frequency_estimation(graph, symbols, 1.0, 2, rng=0)
-
-    def test_rejects_count_mismatch(self, setup):
-        graph, _ = setup
-        with pytest.raises(ValidationError):
-            run_frequency_estimation(graph, np.array([0, 1]), 1.0, 2, rng=0)
+    def test_rejects_out_of_range_symbols(self):
+        """Answers outside the mechanism's alphabet fail the run loudly."""
+        scenario = Scenario(
+            graph={"kind": "k_regular",
+                   "params": {"degree": 6, "num_nodes": 400}},
+            mechanism={"kind": "kary_rr",
+                       "params": {"epsilon": 1.0, "num_symbols": 2}},
+            values={"kind": "choice", "params": {"num_options": 4}},
+        )
+        with pytest.raises(ValidationError, match="symbol"):
+            run(scenario)

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import PrivacyAccountant, Scenario, bound, run
 from repro.amplification.network_shuffle import epsilon_all_stationary
-from repro.core.accounting import PrivacyAccountant
-from repro.core.shuffler import NetworkShuffler
-from repro.datasets.synthetic import build_dataset
-from repro.estimation.frequency import run_frequency_estimation
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.spectral import spectral_summary
 from repro.graphs.walks import report_allocation
@@ -20,37 +17,46 @@ class TestFullPipeline:
     """Dataset -> graph analysis -> protocol -> estimation -> accounting."""
 
     def test_private_survey_on_synthetic_dataset(self):
-        dataset = build_dataset("twitch", scale=0.3, seed=0)
-        graph = dataset.graph
-        n = graph.num_nodes
-
         # Population: 60/25/15 split over three answers.
-        rng = np.random.default_rng(1)
-        symbols = rng.choice(3, size=n, p=[0.6, 0.25, 0.15])
-
-        result = run_frequency_estimation(
-            graph, symbols, 3.0, 3, protocol="all", rng=2
+        result = run(Scenario(
+            graph={"kind": "dataset",
+                   "params": {"name": "twitch", "scale": 0.3, "seed": 0}},
+            mechanism={"kind": "kary_rr",
+                       "params": {"epsilon": 3.0, "num_symbols": 3}},
+            values={"kind": "choice", "params": {
+                "num_options": 3, "probabilities": [0.6, 0.25, 0.15]}},
+            seed=2,
+        ))
+        graph = result.graph
+        n = graph.num_nodes
+        estimate = result.mechanism.estimate_frequencies(
+            np.asarray(result.payloads(), dtype=np.int64)
         )
-        np.testing.assert_allclose(
-            result.estimate, result.truth, atol=0.1
-        )
+        truth = np.bincount(result.values, minlength=3) / n
+        np.testing.assert_allclose(estimate, truth, atol=0.1)
 
-        # The central guarantee for this run.
+        # The central guarantee for this run: Theorem 5.3 at the mixing
+        # time, priced from the graph's spectrum.
         summary = spectral_summary(graph)
-        bound = epsilon_all_stationary(
+        expected = epsilon_all_stationary(
             3.0, n, summary.sum_squared_bound(summary.mixing_time), 1e-6, 1e-6
         )
-        assert bound.epsilon > 0
+        assert result.rounds == summary.mixing_time
+        assert result.bound.epsilon == expected.epsilon > 0
 
     def test_facade_plus_accountant(self):
-        graph = random_regular_graph(8, 500, rng=0)
-        shuffler = NetworkShuffler(graph, epsilon0=0.5, delta=1e-7,
-                                   protocol="single")
+        scenario = Scenario(
+            graph={"kind": "k_regular",
+                   "params": {"degree": 8, "num_nodes": 500}},
+            epsilon0=0.5,
+            delta=1e-7,
+            protocol="single",
+        )
         accountant = PrivacyAccountant(2.0, 1e-5)
 
         for day in range(3):
-            bound = shuffler.central_guarantee()
-            accountant.record(bound.epsilon, bound.delta)
+            guarantee = bound(scenario)
+            accountant.record(guarantee.epsilon, guarantee.delta)
         eps_spent, _ = accountant.spent()
         assert 0 < eps_spent <= 2.0
         assert accountant.num_recorded == 3
@@ -105,12 +111,12 @@ class TestPrivacyDegradationScenarios:
         """A Bayes-optimal adversary (knows P^G, Section 3.3) recovers
         origins far better after one round than after mixing."""
         from repro.graphs.walks import position_distribution
+        from repro.protocols.all_protocol import run_all_protocol
 
         graph = random_regular_graph(6, 100, rng=0)
         accuracies = {}
         for rounds in (1, 30):
-            shuffler = NetworkShuffler(graph, 1.0, 1e-6, rounds=rounds)
-            result = shuffler.run([0] * 100, rng=1)
+            result = run_all_protocol(graph, rounds, values=[0] * 100, rng=1)
             view = result.adversary_view()
             matrix = np.stack(
                 [position_distribution(graph, i, rounds) for i in range(100)]

@@ -15,8 +15,9 @@ from repro.amplification.network_shuffle import (
     epsilon_all_symmetric,
     epsilon_from_report_sizes,
     epsilon_single_stationary,
+    epsilon_single_symmetric,
 )
-from repro.exceptions import ValidationError
+from repro.exceptions import NotErgodicError, ValidationError
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.spectral import spectral_summary
 from repro.graphs.walks import position_distribution
@@ -139,6 +140,16 @@ class TestRunBehavior:
         from repro.scenario import graph_summary
 
         assert result.rounds == graph_summary(scenario).mixing_time
+        # Left unset, a scenario is A_all under the stationary analysis.
+        defaults = bound(Scenario(graph=scenario.graph, epsilon0=_EPSILON0))
+        assert defaults.theorem.startswith("5.3")
+        # A bipartite graph (even cycle) has no mixing time: refused.
+        bipartite = Scenario(
+            graph={"kind": "cycle", "params": {"num_nodes": 32}},
+            epsilon0=_EPSILON0,
+        )
+        with pytest.raises(NotErgodicError, match="bipartite"):
+            bound(bipartite)
 
     def test_symmetric_analysis_matches_theorem_54(self):
         scenario = _scenario("all", "fast", analysis="symmetric")
@@ -149,6 +160,13 @@ class TestRunBehavior:
         )
         assert result.bound.epsilon == expected.epsilon
         assert "5.4" in result.bound.theorem
+        # A_single under the same analysis is Theorem 5.6.
+        single = run(_scenario("single", "fast", analysis="symmetric"))
+        expected = epsilon_single_symmetric(
+            _EPSILON0, _N, distribution, _DELTA
+        )
+        assert single.bound.epsilon == expected.epsilon
+        assert "5.6" in single.bound.theorem
 
     def test_single_protocol_has_no_empirical_epsilon(self):
         """Theorem 6.1 accounts the A_all adversary; A_single hides the
@@ -156,6 +174,10 @@ class TestRunBehavior:
         result = run(_scenario("single", "fast"))
         assert result.empirical_epsilon is None
         assert result.bound is not None
+        # A_all surfaces it, below the closed form: the realized
+        # allocation skips Lemma 5.1's concentration slack.
+        result = run(_scenario("all", "fast"))
+        assert result.empirical_epsilon < result.central_epsilon
 
     def test_no_budget_skips_accounting(self):
         result = run(_scenario("all", "fast", mechanism=None, epsilon0=None))
@@ -324,6 +346,7 @@ class TestWalkCache:
         base = _scenario("all", "fast", analysis="symmetric")
         high = bound(base, rounds=9).epsilon
         low = bound(base, rounds=2).epsilon
+        assert high <= low  # more rounds are never worse
         from repro.scenario import clear_graph_cache
 
         clear_graph_cache()

@@ -75,6 +75,40 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["plan", "100000"])
 
+    @pytest.mark.parametrize("arguments, field", [
+        (["abc", "1"], "n"),
+        (["0", "1"], "n"),
+        (["-5", "1"], "n"),
+        (["2.5", "1"], "n"),
+        (["1000", "abc"], "target_eps"),
+        (["1000", "0"], "target_eps"),
+        (["1000", "-1"], "target_eps"),
+        (["1000", "nan"], "target_eps"),
+        (["1000", "inf"], "target_eps"),
+    ])
+    def test_plan_bad_argument_is_one_line_usage_error(
+        self, arguments, field, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", *arguments])
+        message = excinfo.value.code
+        # A string exit code: printed to stderr, exit status 1.
+        assert isinstance(message, str)
+        assert message.startswith("usage: python -m repro plan")
+        assert f"{field} must be" in message
+        assert repr(arguments[0 if field == "n" else 1]) in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_plan_output_is_pinned(self, capsys):
+        main(["plan", "1000", "1"])
+        assert capsys.readouterr().out == (
+            "planning for n=1000, target central eps=1.0, delta=1e-06\n"
+            "(regular communication graph, Gamma = 1, at the mixing time)\n"
+            "  A_all   : local eps0 <= 0.4273\n"
+            "  A_single: local eps0 <= 1.0926\n"
+        )
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit, match="unknown command"):
             main(["dance"])

@@ -1,10 +1,12 @@
-"""Production modules keep out of the test equipment in ``repro.testing``.
+"""Import boundaries between the library, its drivers and its test kit.
 
-The reference implementations are test oracles, never a production
+Production modules keep out of the test equipment in ``repro.testing``:
+the reference implementations are test oracles, never a production
 branch; the fault-injection harness reaches production only through the
 two no-op-by-default hooks of the sweep engine and the profile store.
-Every module under ``src/repro`` outside ``repro/testing/`` is parsed
-(not imported), so lazy imports inside functions count too.
+The library layers keep out of the experiment drivers: only the CLI
+dispatches to ``repro.experiments``.  Modules are parsed (not
+imported), so lazy imports inside functions count too.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 FAULT_HOOKS = {"scenario/sweep.py", "scenario/profile.py"}
 
 
-def _production_modules():
+def _all_modules():
     for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        yield path.relative_to(PACKAGE_ROOT).as_posix(), path
+
+
+def _production_modules():
+    for relative, path in _all_modules():
         if not relative.startswith("testing/"):
             yield relative, path
 
@@ -44,13 +50,23 @@ def _imported_names(relative: str, tree: ast.AST):
                 yield f"{base}.{alias.name}"
 
 
-def _testing_imports():
-    """``(module, dotted name)`` for every import of ``repro.testing``."""
-    for relative, path in _production_modules():
+def _imports(modules):
+    """``(module, dotted name)`` for every import in ``modules``."""
+    for relative, path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name in _imported_names(relative, tree):
-            if name == "repro.testing" or name.startswith("repro.testing."):
-                yield relative, name
+            yield relative, name
+
+
+def _within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def _testing_imports():
+    """``(module, dotted name)`` for every import of ``repro.testing``."""
+    for relative, name in _imports(_production_modules()):
+        if _within(name, "repro.testing"):
+            yield relative, name
 
 
 def test_scan_sees_the_production_tree():
@@ -71,3 +87,21 @@ def test_no_production_module_imports_the_reference():
 def test_only_the_fault_hooks_import_the_fault_harness():
     importers = {module for module, _ in _testing_imports()}
     assert importers == FAULT_HOOKS
+
+
+def test_only_the_cli_imports_the_experiments():
+    """The accounting defaults live in the library
+    (``amplification.network_shuffle.DEFAULT_DELTA``), so no library
+    layer reaches up into the experiment drivers for them; and the
+    retired ``repro.core`` facade stays gone."""
+    experiment_importers = set()
+    core_importers = set()
+    for module, name in _imports(_all_modules()):
+        if _within(name, "repro.experiments") and not module.startswith(
+            "experiments/"
+        ):
+            experiment_importers.add(module)
+        if _within(name, "repro.core"):
+            core_importers.add(module)
+    assert experiment_importers == {"__main__.py"}
+    assert core_importers == set()
