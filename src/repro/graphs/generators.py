@@ -40,6 +40,19 @@ def from_networkx(nx_graph) -> Graph:
     return Graph(len(nodes), edges)
 
 
+def _release_networkx(nx_graph) -> Graph:
+    """Convert a networkx graph this module built, then empty it.
+
+    Reading ``nodes()``/``edges()`` caches networkx views that point
+    back at the graph, so the dropped graph is a reference cycle that
+    only the cyclic collector frees; emptying it frees its adjacency
+    dicts at once, so a run of graph builds does not hold several.
+    """
+    graph = from_networkx(nx_graph)
+    nx_graph.clear()
+    return graph
+
+
 def complete_graph(num_nodes: int) -> Graph:
     """Complete graph ``K_n``: shuffling on it mixes in one step."""
     check_positive_int(num_nodes, "num_nodes")
@@ -111,7 +124,7 @@ def random_regular_graph(degree: int, num_nodes: int, rng: RngLike = None) -> Gr
     generator = ensure_rng(rng)
     seed = int(generator.integers(0, 2**31 - 1))
     nx_graph = nx.random_regular_graph(degree, num_nodes, seed=seed)
-    return from_networkx(nx_graph)
+    return _release_networkx(nx_graph)
 
 
 def erdos_renyi_graph(num_nodes: int, edge_probability: float, rng: RngLike = None) -> Graph:
@@ -121,7 +134,7 @@ def erdos_renyi_graph(num_nodes: int, edge_probability: float, rng: RngLike = No
     generator = ensure_rng(rng)
     seed = int(generator.integers(0, 2**31 - 1))
     nx_graph = nx.fast_gnp_random_graph(num_nodes, edge_probability, seed=seed)
-    return from_networkx(nx_graph)
+    return _release_networkx(nx_graph)
 
 
 def barabasi_albert_graph(num_nodes: int, attachment: int, rng: RngLike = None) -> Graph:
@@ -140,7 +153,7 @@ def barabasi_albert_graph(num_nodes: int, attachment: int, rng: RngLike = None) 
     generator = ensure_rng(rng)
     seed = int(generator.integers(0, 2**31 - 1))
     nx_graph = nx.barabasi_albert_graph(num_nodes, attachment, seed=seed)
-    return from_networkx(nx_graph)
+    return _release_networkx(nx_graph)
 
 
 def watts_strogatz_graph(
@@ -158,4 +171,4 @@ def watts_strogatz_graph(
     nx_graph = nx.connected_watts_strogatz_graph(
         num_nodes, nearest_neighbors, rewire_probability, seed=seed
     )
-    return from_networkx(nx_graph)
+    return _release_networkx(nx_graph)

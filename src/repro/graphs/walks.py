@@ -56,13 +56,16 @@ def evolve_distribution(
     """Evolve ``P(0) = initial`` for ``steps`` rounds; return ``P(steps)``.
 
     Computes ``P(t+1) = M^T P(t)`` with sparse mat-vec products — never
-    materializes a matrix power.
+    materializes a matrix power.  Always returns a new array; zero steps
+    validate and copy ``initial`` without building the walk matrix.
     """
     if steps < 0:
         raise ValidationError(f"steps must be non-negative, got {steps}")
     distribution = check_probability_vector(initial, "initial", size=graph.num_nodes)
-    matrix_t = lazy_transition_matrix(graph, laziness).T.tocsr()
     current = distribution.astype(np.float64)
+    if steps == 0:
+        return current
+    matrix_t = lazy_transition_matrix(graph, laziness).T.tocsr()
     for _ in range(steps):
         current = matrix_t @ current
     return current

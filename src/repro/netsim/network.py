@@ -23,7 +23,7 @@ from repro.graphs.dynamic import DynamicGraphSchedule
 from repro.graphs.graph import Graph
 from repro.netsim.engine import ExchangeEngine
 from repro.netsim.faults import DropoutModel
-from repro.netsim.server import Server
+from repro.netsim.server import Server, join_items, take_items
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -54,7 +54,8 @@ class RoundBasedNetwork:
         self.engine = ExchangeEngine(graph, faults=faults, rng=self.rng)
         self.meters = self.engine.meters
         self.server = Server(self.meters.server_meter)
-        self._payloads: List[Any] = []
+        # Seeded item columns, in token-id order (see ``seed_items``).
+        self._items: List[Sequence[Any]] = []
 
     @property
     def graph(self) -> Graph:
@@ -77,8 +78,10 @@ class RoundBasedNetwork:
     def seed_items(self, origins: Sequence[int], items: Sequence[Any]) -> None:
         """Place ``items[i]`` (a randomized report) at node ``origins[i]``.
 
-        Items seeded at one node are held in seeding order.  Seeding is
-        only allowed before the campaign's first exchange round
+        An item array travels as an array through the exchange and the
+        final delivery (no per-item objects); any other sequence travels
+        as a list.  Items seeded at one node are held in seeding order.
+        Seeding is only allowed before the campaign's first exchange round
         (repeated calls are fine) or after the final delivery —
         interleaving seeds with rounds would scramble the inbox-arrival
         order the exact RNG contract depends on.
@@ -90,16 +93,18 @@ class RoundBasedNetwork:
                 f"for {len(items)} items"
             )
         drained = self.engine.drained
-        # Let the engine validate (and raise) before touching _payloads,
-        # or a rejected seed would shift the token-id -> payload mapping
+        # Let the engine validate (and raise) before touching _items,
+        # or a rejected seed would shift the token-id -> item mapping
         # for every later campaign.
         self.engine.seed_tokens(origins)
         if drained:
             # The engine restarts token ids from 0 after a final
-            # delivery; drop the delivered campaign's payloads so the
+            # delivery; drop the delivered campaign's items so the
             # mapping stays aligned.
-            self._payloads = []
-        self._payloads.extend(items)
+            self._items = []
+        self._items.append(
+            items.copy() if isinstance(items, np.ndarray) else list(items)
+        )
 
     # ------------------------------------------------------------------
     # Exchange rounds
@@ -150,8 +155,7 @@ class RoundBasedNetwork:
             self.meters.messages_sent += self.engine.held_counts()
             order = self.engine.drain()
             senders = self.engine.token_position[order]
-            payloads = [self._payloads[token] for token in order.tolist()]
-            self.server.deliver_many(senders.tolist(), payloads)
+            self.server.deliver_many(senders, take_items(self._item_column(), order))
             return
         for node_id, held in enumerate(self.drain_held()):
             for item in select(node_id, held, self.rng):
@@ -166,10 +170,16 @@ class RoundBasedNetwork:
         """
         order = self.engine.drain()
         holders = self.engine.token_position[order]
+        items = take_items(self._item_column(), order)
         held_lists: List[List[Any]] = [[] for _ in range(self.num_users)]
-        for token, holder in zip(order.tolist(), holders.tolist()):
-            held_lists[holder].append(self._payloads[token])
+        for item, holder in zip(items, holders.tolist()):
+            held_lists[holder].append(item)
         return held_lists
+
+    def _item_column(self) -> Sequence[Any]:
+        """Every seeded item, indexed by token id."""
+        self._items = [join_items(self._items)]
+        return self._items[0]
 
     def held_counts(self) -> np.ndarray:
         """Current items held per user — the allocation vector ``L``."""

@@ -8,7 +8,7 @@ nothing).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.graphs.graph import Graph
 from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel, IndependentDropout
 from repro.netsim.network import RoundBasedNetwork
-from repro.protocols.reports import ProtocolResult, Report
+from repro.protocols.reports import ProtocolResult
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -39,13 +39,16 @@ def randomize_payloads(
     values: Optional[Sequence[Any]],
     num_users: int,
     rng: np.random.Generator,
-) -> List[Any]:
+) -> Sequence[Any]:
     """Line 2 of Algorithm 1: ``s_j <- A_ldp(x_j)``, one payload per user.
 
-    A mechanism whose ``randomize_batch`` matches the per-user loop
+    Returns the payload column, user ``j``'s payload at index ``j``.  A
+    mechanism whose ``randomize_batch`` matches the per-user loop
     (:attr:`~repro.ldp.base.LocalRandomizer.batch_matches_loop`) runs as
-    one batch; its payloads, their Python types and the generator state
-    afterwards equal the loop's.  Other mechanisms loop.
+    one batch and the column is its array; the generator state
+    afterwards, and the payloads
+    :func:`~repro.protocols.reports.payload_rows` reads from it, equal
+    the loop's.  Other mechanisms loop, and the column is a list.
     """
     if values is None:
         # Privacy-only runs don't need payloads.
@@ -58,9 +61,7 @@ def randomize_payloads(
         return list(values)
     if not randomizer.batch_matches_loop:
         return [randomizer.randomize(value, rng) for value in values]
-    batch = randomizer.randomize_batch(values, rng)
-    # The loop returns Python scalars, or one ndarray per user.
-    return batch.tolist() if batch.ndim == 1 else list(batch)
+    return randomizer.randomize_batch(values, rng)
 
 
 def run_all_protocol(
@@ -108,25 +109,26 @@ def run_all_protocol(
     network = RoundBasedNetwork(
         graph, faults=resolve_faults(faults, laziness), rng=generator
     )
-    # The network carries user j's report as the index j; the Report
-    # objects are built once, after delivery, in delivery order.
-    network.seed_items(np.arange(num_users, dtype=np.int64), range(num_users))
+    # The network carries user j's report as the index j; payloads are
+    # looked up by origin only when a caller reads them.
+    users = np.arange(num_users, dtype=np.int64)
+    network.seed_items(users, users)
     network.run_exchange(rounds)
     allocation = network.held_counts()
     network.deliver_to_server()
-    delivered = network.server.reports
-    delivered_by = np.asarray(network.server.delivered_by, dtype=np.int64)
-    if len(delivered) != num_users:
+    delivered_by, delivered = network.server.columns()
+    origins = np.asarray(delivered, dtype=np.int64)
+    if origins.size != num_users:
         raise ProtocolError(
-            f"A_all lost reports: {len(delivered)} of {num_users} "
+            f"A_all lost reports: {origins.size} of {num_users} "
             "reached the server"
         )
-    server_reports = [Report(user, payloads[user]) for user in delivered]
     return ProtocolResult(
         protocol="all",
         num_users=num_users,
         rounds=rounds,
-        server_reports=server_reports,
+        origins=origins,
+        user_payloads=payloads,
         delivered_by=delivered_by,
         allocation=allocation,
         meters=network.meters,

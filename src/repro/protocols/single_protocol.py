@@ -10,7 +10,7 @@ dummies (utility loss — the Figure 9 trade-off).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.ldp.base import LocalRandomizer
 from repro.netsim.faults import DropoutModel
 from repro.netsim.network import RoundBasedNetwork
 from repro.protocols.all_protocol import randomize_payloads, resolve_faults
-from repro.protocols.reports import ProtocolResult, Report
+from repro.protocols.reports import ProtocolResult
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_non_negative_int
 
@@ -29,17 +29,17 @@ from repro.utils.validation import check_non_negative_int
 DUMMY_ORIGIN = -1
 
 
-def _make_dummy(
+def _dummy_payload(
     randomizer: Optional[LocalRandomizer],
     dummy_factory: Optional[Callable[[np.random.Generator], Any]],
     rng: np.random.Generator,
-) -> Report:
+) -> Any:
     """Line 10 of Algorithm 2: ``J_j <- A_ldp(0)`` (or a custom factory)."""
     if dummy_factory is not None:
-        return Report(origin=DUMMY_ORIGIN, payload=dummy_factory(rng))
+        return dummy_factory(rng)
     if randomizer is not None:
-        return Report(origin=DUMMY_ORIGIN, payload=randomizer.randomize(0, rng))
-    return Report(origin=DUMMY_ORIGIN, payload=None)
+        return randomizer.randomize(0, rng)
+    return None
 
 
 def run_single_protocol(
@@ -77,40 +77,39 @@ def run_single_protocol(
         graph, faults=resolve_faults(faults, laziness), rng=generator
     )
     # As in A_all, the network carries user j's report as the index j.
-    network.seed_items(np.arange(num_users, dtype=np.int64), range(num_users))
+    users = np.arange(num_users, dtype=np.int64)
+    network.seed_items(users, users)
     network.run_exchange(rounds)
     allocation = network.held_counts()
-    held_by_user: List[List[int]] = network.drain_held()
-    meters = network.meters
+    held_by_user = network.drain_held()
 
     # Line 9 of Algorithm 2, batched: one vectorized draw selects the
     # uniform index for every non-empty holder at once (the per-user
     # ``rng.integers`` loop was the hot spot on million-user sweeps).
     # Dummy draws happen after the batch, in user order.
     nonempty = np.flatnonzero(allocation > 0)
-    picks = np.empty(num_users, dtype=np.int64)
-    picks[nonempty] = generator.integers(0, allocation[nonempty])
-
-    server_reports: List[Report] = []
-    delivered_by = np.arange(num_users, dtype=np.int64)
-    dummy_count = 0
-    for user in range(num_users):
-        held = held_by_user[user]
-        if not held:
-            server_reports.append(_make_dummy(randomizer, dummy_factory, generator))
-            dummy_count += 1
-        else:
-            origin = held[picks[user]]
-            server_reports.append(Report(origin, payloads[origin]))
+    picks = generator.integers(0, allocation[nonempty])
+    origins = np.full(num_users, DUMMY_ORIGIN, dtype=np.int64)
+    origins[nonempty] = [
+        held_by_user[user][pick]
+        for user, pick in zip(nonempty.tolist(), picks.tolist())
+    ]
+    dummy_count = num_users - nonempty.size
+    dummy_payloads = [
+        _dummy_payload(randomizer, dummy_factory, generator)
+        for _ in range(dummy_count)
+    ]
     return ProtocolResult(
         protocol="single",
         num_users=num_users,
         rounds=rounds,
-        server_reports=server_reports,
-        delivered_by=delivered_by,
+        origins=origins,
+        user_payloads=payloads,
+        delivered_by=users,
         allocation=allocation,
+        dummy_payloads=dummy_payloads,
         dummy_count=dummy_count,
-        meters=meters,
+        meters=network.meters,
     )
 
 

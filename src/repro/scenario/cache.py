@@ -300,12 +300,16 @@ class GraphBundle:
 
         The cache keeps the *longest* walk computed so far, so a
         descending-rounds request recomputes from scratch without
-        downgrading the cache for later, longer requests.
+        downgrading the cache for later, longer requests.  A request for
+        the cached length returns the cached vector itself; every vector
+        handed out is read-only, so no caller can alter a later bound.
         """
         with self._derive_lock:
             key = float(laziness)
             cached = self._walks.get(key)
-            if cached is not None and cached[0] <= steps:
+            if cached is not None and cached[0] == steps:
+                return cached[1]
+            if cached is not None and cached[0] < steps:
                 done, distribution = cached
                 distribution = evolve_distribution(
                     self.graph, distribution, steps - done, laziness=laziness
@@ -314,7 +318,8 @@ class GraphBundle:
                 distribution = position_distribution(
                     self.graph, 0, steps, laziness=laziness
                 )
-            if cached is None or steps >= cached[0]:
+            distribution.setflags(write=False)
+            if cached is None or steps > cached[0]:
                 self._walks[key] = (steps, distribution)
             return distribution
 

@@ -104,6 +104,23 @@ class TestRandomRegular:
         with pytest.raises(ValidationError):
             random_regular_graph(10, 10, rng=0)
 
+    def test_releases_the_networkx_graph(self, monkeypatch):
+        """The dropped networkx graph is a reference cycle; it must not
+        keep its adjacency alive until the cyclic collector runs."""
+        import networkx as nx
+
+        built = []
+        generate = nx.random_regular_graph
+
+        def capture(*args, **kwargs):
+            built.append(generate(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(nx, "random_regular_graph", capture)
+        graph = random_regular_graph(4, 30, rng=5)
+        assert graph.num_nodes == 30
+        assert built[0].number_of_nodes() == 0
+
 
 class TestErdosRenyi:
     def test_edge_probability_extremes(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ValidationError
+from repro.graphs import walks
 from repro.graphs.generators import complete_graph, cycle_graph
 from repro.graphs.spectral import stationary_distribution
 from repro.graphs.walks import (
@@ -20,6 +21,7 @@ from repro.graphs.walks import (
     total_variation_to_stationary,
     trace_walk,
 )
+from repro.scenario.cache import GraphBundle
 
 
 class TestEvolveDistribution:
@@ -29,6 +31,18 @@ class TestEvolveDistribution:
         np.testing.assert_array_equal(
             evolve_distribution(small_regular, initial, 0), initial
         )
+
+    def test_zero_steps_builds_no_matrix_and_copies(self, small_regular, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 0-step evolve built the walk matrix")
+
+        monkeypatch.setattr(walks, "lazy_transition_matrix", refuse)
+        initial = np.full(small_regular.num_nodes, 1.0 / small_regular.num_nodes)
+        result = evolve_distribution(small_regular, initial, 0, laziness=0.3)
+        np.testing.assert_array_equal(result, initial)
+        assert result is not initial
+        with pytest.raises(ValidationError):
+            evolve_distribution(small_regular, initial[:-1], 0)
 
     def test_preserves_probability_mass(self, small_regular):
         initial = np.full(small_regular.num_nodes, 1.0 / small_regular.num_nodes)
@@ -60,6 +74,30 @@ class TestEvolveDistribution:
     def test_rejects_bad_distribution(self, triangle):
         with pytest.raises(ValidationError):
             evolve_distribution(triangle, np.array([0.7, 0.7, -0.4]), 1)
+
+
+class TestBundleWalkCache:
+    """``GraphBundle.walk_distribution`` memoizes the longest walk."""
+
+    def test_cached_length_hit_builds_no_matrix(self, small_regular, monkeypatch):
+        bundle = GraphBundle(small_regular)
+        first = bundle.walk_distribution(5, 0.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cache hit built the walk matrix")
+
+        monkeypatch.setattr(walks, "lazy_transition_matrix", refuse)
+        again = bundle.walk_distribution(5, 0.0)
+        np.testing.assert_array_equal(again, first)
+
+    def test_handed_out_vectors_are_read_only(self, small_regular):
+        bundle = GraphBundle(small_regular)
+        expected = position_distribution(small_regular, 0, 6, laziness=0.2)
+        for steps in (4, 6, 6, 3):
+            distribution = bundle.walk_distribution(steps, 0.2)
+            with pytest.raises(ValueError):
+                distribution[0] = 1.0
+        np.testing.assert_array_equal(bundle.walk_distribution(6, 0.2), expected)
 
 
 class TestPositionDistribution:

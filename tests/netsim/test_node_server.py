@@ -87,6 +87,36 @@ class TestServer:
         grouped = server.reports_by_sender()
         assert grouped == {1: ["a", "b"], 2: ["c"]}
 
+    def test_deliver_many_keeps_array_columns(self):
+        server = Server(EntityMeter())
+        server.deliver(4, "first")
+        server.deliver_many(np.array([2, 0]), np.array([7, 8]))
+        senders, items = server.columns()
+        assert senders.dtype == np.int64
+        np.testing.assert_array_equal(senders, [4, 2, 0])
+        assert items == ["first", 7, 8]
+        assert server.delivered_by == [4, 2, 0]
+        assert server.reports_by_sender() == {4: ["first"], 2: [7], 0: [8]}
+        assert server.meter.messages_received == 3
+
+    def test_array_batches_stay_one_array(self):
+        server = Server(EntityMeter())
+        items = np.array([5, 6])
+        server.deliver_many(np.array([1, 1]), items)
+        server.deliver_many([0], np.array([9]))
+        items[0] = -1  # the server keeps its own copy
+        _, got = server.columns()
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, [5, 6, 9])
+
+    def test_deliver_many_length_mismatch_is_typed(self):
+        from repro.exceptions import ValidationError
+
+        server = Server(EntityMeter())
+        with pytest.raises(ValidationError):
+            server.deliver_many(np.array([0, 1]), np.array([5]))
+        assert len(server) == 0
+
     def test_reports_returns_copy(self):
         server = Server(EntityMeter())
         server.deliver(0, "a")

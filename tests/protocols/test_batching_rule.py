@@ -4,6 +4,8 @@
 :func:`~repro.protocols.all_protocol.randomize_payloads`.  A mechanism
 runs as one ``randomize_batch`` call only when its class declares
 ``batch_matches_loop``; otherwise it loops ``randomize`` per user.  The
+protocols read per-user payloads out of that column with
+:func:`~repro.protocols.reports.payload_rows`.  The
 tests below keep every declaration true for each registered mechanism:
 a batched mechanism's batch equals the per-user loop in payload values,
 payload types and final generator state, and a looped mechanism's batch
@@ -18,6 +20,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.graphs.generators import random_regular_graph
 from repro.protocols.all_protocol import randomize_payloads, run_all_protocol
+from repro.protocols.reports import payload_rows
 from repro.scenario import MECHANISMS, VALUES
 
 NUM_USERS = 257
@@ -96,8 +99,8 @@ def test_payloads_equal_the_loop(kind, monkeypatch):
 
     monkeypatch.setattr(mechanism, "randomize", counting)
     rng = np.random.default_rng(11)
-    payloads = randomize_payloads(mechanism, values, NUM_USERS, rng)
-    assert _identical(payloads, looped)
+    column = randomize_payloads(mechanism, values, NUM_USERS, rng)
+    assert _identical(payload_rows(column), looped)
     assert _same_state(rng, loop_rng)
     assert len(calls) == (NUM_USERS if kind in LOOPED else 0)
 
